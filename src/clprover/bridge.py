@@ -4,10 +4,16 @@ Every state a proof of a reduced sentence passes through has a rigid shape:
 a stack of elementary wrappers  q(c) \\/ (~q(c) /\\ _)  left behind by
 earlier matches, around a core that is either the next choice-ex
 quantifier, a universal gadget before or after its wait split, a general
-pair ready to match, or the quantifier-free endgame.  The converters walk
-that shape.  Odd levels of a strategy tree line up with term choices, even
-levels with a wait split followed by the committed term choice and the
-gadget match; the endgame matches every surviving literal pair and waits.
+pair ready to match, or the quantifier-free endgame.
+
+_replay is the only walker that builds proofs.  It follows that shape from
+the cl4 image, takes the term choices and the wait splits from a _Dec, and
+forces the rest: a gadget wait splits into its 0 and 1 branches, each
+branch commits its bit and matches the gadget pair at once, and the endgame
+matches every surviving pair and waits.  strategy_to_proof reads the _Dec
+off a winning strategy tree.  canonicalize_proof and proof_to_strategy
+extract it from a checked proof; a proof is canonical exactly when it
+equals its replay, and proof_to_strategy accepts only canonical proofs.
 """
 
 from __future__ import annotations
@@ -66,7 +72,6 @@ class LevelLabel:
 class _Shape:
     cls: ShapeClass
     quant_path: Optional[Path] = None
-    cho_path: Optional[Path] = None
     pos_path: Optional[Path] = None
     neg_path: Optional[Path] = None
     letter: Optional[LetterId] = None
@@ -156,7 +161,7 @@ def _analyze(f: Formula) -> _Shape:
     gad = _gadget_step(cur)
     if gad is not None:
         return _Shape(ShapeClass.FORALL_GADGET, quant_path=path + (1,),
-                      cho_path=path + (0,), letter=gad)
+                      letter=gad)
     pick = _picked_step(cur)
     if pick is not None:
         return _Shape(ShapeClass.PICKED_GADGET, quant_path=path + (1,),
@@ -171,50 +176,71 @@ def classify_shape(f: Formula) -> ShapeClass:
 
 
 # ---------------------------------------------------------------------------
-# strategy tree -> proof
+# the canonical replay
 
-def strategy_to_proof(q: Qbf, tree: StrategyNode) -> ProofNode:
-    """Turn a winning strategy tree into a proof of the cl4 image."""
-    f = reduce_to_cl4(q)
-    res = check_strategy_tree(q, tree)
-    if not res:
-        raise BridgeError(f"strategy tree is not winning: {res.diagnostics[0]}")
-    return _from_tree(f, tree, LevelLabel(1))
+@dataclass
+class _Dec:
+    """The decisions along one branch of a canonical proof: its term choices
+    outside in (below a wait split the first is the committed universal bit)
+    and, where it splits, the decisions of the 0 and the 1 branch."""
+    choices: list[int]
+    split: Optional[tuple["_Dec", "_Dec"]]
 
 
-def _from_tree(f: Formula, dnode: StrategyNode, level: LevelLabel) -> ProofNode:
+def _replay(f: Formula, dec: _Dec, i: int, level: LevelLabel) -> ProofNode:
+    """The canonical proof of f that makes the term choices dec.choices[i:]
+    and splits where dec does.  level is the strategy-tree level of the
+    choice quantifier that f starts with or that was chosen last."""
     shape = _analyze(f)
-    if shape.cls is not ShapeClass.EXISTS_CHOICE:
-        raise BridgeError(f"level {level}: expected a choice quantifier, "
-                          f"found {shape.cls.value}")
-    move = ChooseTerm(shape.quant_path, Constant(dnode.label))
-    g = apply_move(f, move)
-    if dnode.children:
-        inner = _split_gadget(g, dnode, LevelLabel(level.number + 1, "t"))
-    else:
-        inner = _endgame(g)
-    return ProofNode(f, move, (inner,))
-
-
-def _split_gadget(f: Formula, dnode: StrategyNode, level: LevelLabel) -> ProofNode:
-    shape = _analyze(f)
-    if shape.cls is not ShapeClass.FORALL_GADGET:
-        raise BridgeError(f"level {level}: expected a universal gadget, "
-                          f"found {shape.cls.value}")
+    if shape.cls is ShapeClass.EXISTS_CHOICE:
+        if i >= len(dec.choices):
+            raise BridgeError(f"level {level}: proof is missing a term choice")
+        c = dec.choices[i]
+        if c not in (0, 1):
+            c = 0  # the gadget letters only ever meet 0 and 1; anything else
+            # left every literal over this variable unsatisfied, and 0 keeps
+            # at least that much true
+        move = ChooseTerm(shape.quant_path, Constant(c))
+        return ProofNode(f, move,
+                         (_replay(apply_move(f, move), dec, i + 1, level),))
+    if shape.cls is ShapeClass.FORALL_GADGET:
+        glevel = LevelLabel(level.number + 1, "t")
+        if dec.split is None or i != len(dec.choices):
+            raise BridgeError(f"level {glevel}: proof does not branch where "
+                              f"the sentence does")
+        if not is_stable(f):
+            raise BridgeError(f"level {glevel}: gadget state is unstable")
+        prems = wait_premises(f)
+        kids = tuple(_replay_commit(prems[a], dec.split[a], a, glevel)
+                     for a in (0, 1))
+        return ProofNode(f, WAIT, kids)
+    if shape.cls in (ShapeClass.PICKED_GADGET, ShapeClass.MATCH_PENDING):
+        raise BridgeError(f"level {level}: unexpected {shape.cls.value} state "
+                          f"during replay")
+    # endgame: match every surviving pair in canonical order, then wait
+    if dec.split is not None or i != len(dec.choices):
+        raise BridgeError(f"level {level}: proof branches where the sentence "
+                          f"does not")
+    move = first_match_move(f)
+    if move is not None:
+        return ProofNode(f, move, (_replay(apply_move(f, move), dec, i, level),))
     if not is_stable(f):
-        raise BridgeError(f"level {level}: gadget state is unstable")
-    prems = wait_premises(f)
-    kids = tuple(_commit_bit(prems[a], dnode.children[a], level)
-                 for a in (0, 1))
-    return ProofNode(f, WAIT, kids)
+        raise BridgeError(f"level {level}: endgame state is unstable: "
+                          f"{render_formula(f)}")
+    return ProofNode(f, WAIT, ())
 
 
-def _commit_bit(f: Formula, enode: StrategyNode, level: LevelLabel) -> ProofNode:
+def _replay_commit(f: Formula, dec: _Dec, bit: int,
+                   level: LevelLabel) -> ProofNode:
+    """The bit branch of a gadget wait at level (an even level, stage t):
+    commit the universal bit, match the gadget pair, and replay the rest."""
     shape = _analyze(f)
-    if shape.cls is not ShapeClass.PICKED_GADGET or shape.const != enode.label:
+    if shape.cls is not ShapeClass.PICKED_GADGET or shape.const != bit:
+        raise BridgeError(f"level {level}: wait premise is not the {bit} branch")
+    if not dec.choices or dec.choices[0] != bit:
         raise BridgeError(f"level {LevelLabel(level.number, 'm')}: branch does "
-                          f"not commit the universal bit {enode.label}")
-    move = ChooseTerm(shape.quant_path, Constant(shape.const))
+                          f"not commit the universal bit {bit}")
+    move = ChooseTerm(shape.quant_path, Constant(bit))
     g = apply_move(f, move)
     mshape = _analyze(g)
     if mshape.cls is not ShapeClass.MATCH_PENDING:
@@ -222,106 +248,32 @@ def _commit_bit(f: Formula, enode: StrategyNode, level: LevelLabel) -> ProofNode
                           f"gadget did not leave a matchable pair")
     mmove = MatchPair(mshape.pos_path, mshape.neg_path,
                       fresh_match_letter(g, mshape.letter))
-    h = apply_move(g, mmove)
-    inner = _from_tree(h, enode.children[0], LevelLabel(level.number + 1))
+    inner = _replay(apply_move(g, mmove), dec, 1, LevelLabel(level.number + 1))
     return ProofNode(f, move, (ProofNode(g, mmove, (inner,)),))
 
 
-def _endgame(f: Formula) -> ProofNode:
-    move = first_match_move(f)
-    if move is not None:
-        return ProofNode(f, move, (_endgame(apply_move(f, move)),))
-    if not is_stable(f):
-        raise BridgeError(f"endgame state is unstable: {render_formula(f)}")
-    return ProofNode(f, WAIT, ())
-
-
 # ---------------------------------------------------------------------------
-# proof -> strategy tree
+# strategy tree -> proof
 
-def proof_to_strategy(q: Qbf, proof: ProofNode) -> StrategyNode:
-    """Read the verifier's strategy off a canonical proof of the cl4 image."""
+def _tree_dec(node: StrategyNode, bit: Optional[int] = None) -> _Dec:
+    """The decisions for the strategy subtree at a verifier node; bit is the
+    falsifier's bit just above it, None at the root."""
+    choices = [node.label] if bit is None else [bit, node.label]
+    split = tuple(_tree_dec(kid.children[0], kid.label) for kid in node.children)
+    return _Dec(choices, split or None)
+
+
+def strategy_to_proof(q: Qbf, tree: StrategyNode) -> ProofNode:
+    """Turn a winning strategy tree into a proof of the cl4 image."""
     f = reduce_to_cl4(q)
-    if proof.conclusion != f:
-        raise BridgeError("proof does not conclude the sentence's cl4 image")
-    res = check_proof(proof)
+    res = check_strategy_tree(q, tree)
     if not res:
-        raise BridgeError(f"proof does not check: {res.diagnostics[0]}")
-    return _read(proof, LevelLabel(1))
-
-
-def _read(node: ProofNode, level: LevelLabel) -> StrategyNode:
-    f = node.conclusion
-    shape = _analyze(f)
-    if shape.cls is not ShapeClass.EXISTS_CHOICE:
-        raise BridgeError(f"level {level}: expected a choice quantifier, "
-                          f"found {shape.cls.value}")
-    rule = node.rule
-    if not (isinstance(rule, ChooseTerm) and rule.path == shape.quant_path
-            and isinstance(rule.term, Constant) and rule.term.value in (0, 1)):
-        raise BridgeError(f"level {level}: proof is not canonical: expected a "
-                          f"binary term choice")
-    label = rule.term.value
-    child = node.premises[0]
-    cshape = _analyze(child.conclusion)
-    if cshape.cls is ShapeClass.FORALL_GADGET:
-        glevel = LevelLabel(level.number + 1, "t")
-        if not isinstance(child.rule, Wait) or len(child.premises) != 2:
-            raise BridgeError(f"level {glevel}: proof is not canonical: "
-                              f"expected a two-premise wait")
-        want = [render_formula(p) for p in wait_premises(child.conclusion)]
-        got = [render_formula(p.conclusion) for p in child.premises]
-        if want != got:
-            raise BridgeError(f"level {glevel}: proof is not canonical: wait "
-                              f"premises out of order")
-        kids = tuple(
-            StrategyNode(a, (_read_commit(child.premises[a], a, glevel),))
-            for a in (0, 1))
-        return StrategyNode(label, kids)
-    # endgame: every surviving pair is matched in canonical order, then wait
-    cur = child
-    while isinstance(cur.rule, MatchPair):
-        if cur.rule != first_match_move(cur.conclusion):
-            raise BridgeError("endgame is not canonical: unexpected match")
-        cur = cur.premises[0]
-    if not isinstance(cur.rule, Wait) or cur.premises:
-        raise BridgeError("endgame is not canonical: expected a closing wait")
-    if first_match_move(cur.conclusion) is not None:
-        raise BridgeError("endgame is not canonical: a matchable pair is left")
-    return StrategyNode(label)
-
-
-def _read_commit(node: ProofNode, bit: int, level: LevelLabel) -> StrategyNode:
-    shape = _analyze(node.conclusion)
-    if shape.cls is not ShapeClass.PICKED_GADGET or shape.const != bit:
-        raise BridgeError(f"level {level}: wait premise is not the {bit} branch")
-    mlevel = LevelLabel(level.number, "m")
-    rule = node.rule
-    if not (isinstance(rule, ChooseTerm) and rule.path == shape.quant_path
-            and rule.term == Constant(bit)):
-        raise BridgeError(f"level {mlevel}: proof is not canonical: the branch "
-                          f"must commit the universal bit {bit}")
-    mid = node.premises[0]
-    mshape = _analyze(mid.conclusion)
-    if mshape.cls is not ShapeClass.MATCH_PENDING:
-        raise BridgeError(f"level {mlevel}: committed gadget did not leave a "
-                          f"matchable pair")
-    want = MatchPair(mshape.pos_path, mshape.neg_path,
-                     fresh_match_letter(mid.conclusion, mshape.letter))
-    if mid.rule != want:
-        raise BridgeError(f"level {LevelLabel(level.number, 'b')}: proof is "
-                          f"not canonical: expected the gadget match")
-    return _read(mid.premises[0], LevelLabel(level.number + 1))
+        raise BridgeError(f"strategy tree is not winning: {res.diagnostics[0]}")
+    return _replay(f, _tree_dec(tree), 0, LevelLabel(1))
 
 
 # ---------------------------------------------------------------------------
-# canonicalization
-
-@dataclass
-class _Dec:
-    choices: list[int]
-    split: Optional[tuple["_Dec", "_Dec"]]
-
+# proof -> strategy tree, canonicalization
 
 def _extract(node: ProofNode) -> _Dec:
     """Collect the term choices along each branch (they always fire outside
@@ -358,51 +310,40 @@ def _extract(node: ProofNode) -> _Dec:
                               "choose-disjunct cannot occur")
 
 
-def _replay(f: Formula, dec: _Dec, i: int) -> ProofNode:
-    shape = _analyze(f)
-    if shape.cls is ShapeClass.EXISTS_CHOICE:
-        if i >= len(dec.choices):
-            raise BridgeError("proof is missing a term choice")
-        c = dec.choices[i]
-        if c not in (0, 1):
-            c = 0  # the gadget letters only ever meet 0 and 1; anything else
-            # left every literal over this variable unsatisfied, and 0 keeps
-            # at least that much true
-        move = ChooseTerm(shape.quant_path, Constant(c))
-        return ProofNode(f, move, (_replay(apply_move(f, move), dec, i + 1),))
-    if shape.cls is ShapeClass.FORALL_GADGET:
-        if dec.split is None or i != len(dec.choices):
-            raise BridgeError("proof does not branch where the sentence does")
-        prems = wait_premises(f)
-        kids = tuple(_replay_commit(prems[a], dec.split[a], a) for a in (0, 1))
-        return ProofNode(f, WAIT, kids)
-    if shape.cls in (ShapeClass.PICKED_GADGET, ShapeClass.MATCH_PENDING):
-        raise BridgeError(f"unexpected {shape.cls.value} state during replay")
-    if dec.split is not None or i != len(dec.choices):
-        raise BridgeError("proof branches where the sentence does not")
-    move = first_match_move(f)
-    if move is not None:
-        return ProofNode(f, move, (_replay(apply_move(f, move), dec, i),))
-    if not is_stable(f):
-        raise BridgeError("replayed branch does not close")
-    return ProofNode(f, WAIT, ())
+def _canonical(proof: ProofNode) -> tuple[_Dec, ProofNode]:
+    """Check a proof, read its decisions and replay them.  A proof equal to
+    its replay comes back as itself: it has passed the check already."""
+    res = check_proof(proof)
+    if not res:
+        raise BridgeError(f"input proof does not check: {res.diagnostics[0]}")
+    dec = _extract(proof)
+    out = _replay(proof.conclusion, dec, 0, LevelLabel(1))
+    if out == proof:
+        return dec, proof
+    res = check_proof(out)
+    if not res:
+        raise BridgeError(f"canonical replay does not check: {res.diagnostics[0]}")
+    return dec, out
 
 
-def _replay_commit(f: Formula, dec: _Dec, bit: int) -> ProofNode:
-    shape = _analyze(f)
-    if shape.cls is not ShapeClass.PICKED_GADGET or shape.const != bit:
-        raise BridgeError("wait premise is not a committed gadget")
-    if not dec.choices or dec.choices[0] != bit:
-        raise BridgeError("branch does not commit the universal bit it waits on")
-    move = ChooseTerm(shape.quant_path, Constant(bit))
-    g = apply_move(f, move)
-    mshape = _analyze(g)
-    if mshape.cls is not ShapeClass.MATCH_PENDING:
-        raise BridgeError("committed gadget did not leave a matchable pair")
-    mmove = MatchPair(mshape.pos_path, mshape.neg_path,
-                      fresh_match_letter(g, mshape.letter))
-    return ProofNode(f, move,
-                     (ProofNode(g, mmove, (_replay(apply_move(g, mmove), dec, 1),)),))
+def _dec_tree(dec: _Dec) -> StrategyNode:
+    """The strategy subtree a canonical branch's decisions spell out: its
+    last choice is the verifier's bit."""
+    kids = tuple(StrategyNode(a, (_dec_tree(d),))
+                 for a, d in enumerate(dec.split or ()))
+    return StrategyNode(dec.choices[-1], kids)
+
+
+def proof_to_strategy(q: Qbf, proof: ProofNode) -> StrategyNode:
+    """Read the verifier's strategy off a canonical proof of the cl4 image:
+    one that canonicalize_proof returns unchanged."""
+    if proof.conclusion != reduce_to_cl4(q):
+        raise BridgeError("proof does not conclude the sentence's cl4 image")
+    dec, out = _canonical(proof)
+    if out is not proof:
+        raise BridgeError("proof is not canonical: it differs from its "
+                          "canonical replay (see canonicalize_proof)")
+    return _dec_tree(dec)
 
 
 def canonicalize_proof(proof: ProofNode) -> ProofNode:
@@ -410,12 +351,4 @@ def canonicalize_proof(proof: ProofNode) -> ProofNode:
     matches happen as early as possible, wait premises keep their derivation
     order, the endgame matches every pair, and term choices are binary.
     Canonical proofs come back unchanged."""
-    res = check_proof(proof)
-    if not res:
-        raise BridgeError(f"input proof does not check: {res.diagnostics[0]}")
-    dec = _extract(proof)
-    out = _replay(proof.conclusion, dec, 0)
-    res = check_proof(out)
-    if not res:
-        raise BridgeError(f"canonical replay does not check: {res.diagnostics[0]}")
-    return out
+    return _canonical(proof)[1]

@@ -456,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("play", help="play the sentence game against the engine")
     _add_qbf_source(p)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(fn=cmd_play)
 
     return ap

@@ -102,16 +102,7 @@ def _matrix_value(q: Qbf, env: dict) -> bool:
 
 
 def eval_qbf(q: Qbf) -> bool:
-    validate_qbf(q)
-
-    def go(i: int, env: dict) -> bool:
-        if i == len(q.prefix):
-            return _matrix_value(q, env)
-        quant, var = q.prefix[i]
-        pick = any if quant is EXISTS else all
-        return pick(go(i + 1, {**env, var: v}) for v in (False, True))
-
-    return go(0, {})
+    return winning_strategy_tree(q) is not None
 
 
 def play_path(q: Qbf, labels: Sequence[int]) -> bool:
@@ -133,31 +124,31 @@ def winning_strategy_tree(q: Qbf) -> Optional[StrategyNode]:
     """A winning verifier strategy, or None when the sentence is false.  The
     verifier always plays the smaller winning bit."""
     validate_qbf(q)
-    n = len(q.prefix)
+    return _win(q, 0, {})
 
-    def value(i: int, env: dict) -> bool:
-        if i == n:
-            return _matrix_value(q, env)
-        quant, var = q.prefix[i]
-        pick = any if quant is EXISTS else all
-        return pick(value(i + 1, {**env, var: v}) for v in (False, True))
 
-    if not value(0, {}):
-        return None
-
-    def build(i: int, env: dict) -> StrategyNode:
-        var = q.prefix[i][1]
-        label = next(v for v in (0, 1) if value(i + 1, {**env, var: bool(v)}))
-        env = {**env, var: bool(label)}
-        if i + 1 == n:
-            return StrategyNode(label)
+def _win(q: Qbf, i: int, env: dict) -> Optional[StrategyNode]:
+    """The verifier's winning subtree from the existential at prefix
+    position i, or None when the falsifier wins there.  Bit 0 is tried
+    before bit 1, and a bit is dropped at the first falsifier reply that
+    beats it, so no subgame is played twice."""
+    var = q.prefix[i][1]
+    for label in (0, 1):
+        here = {**env, var: bool(label)}
+        if i + 1 == len(q.prefix):
+            if _matrix_value(q, here):
+                return StrategyNode(label)
+            continue
         fvar = q.prefix[i + 1][1]
-        kids = tuple(
-            StrategyNode(a, (build(i + 2, {**env, fvar: bool(a)}),))
-            for a in (0, 1))
-        return StrategyNode(label, kids)
-
-    return build(0, {})
+        kids = []
+        for a in (0, 1):
+            sub = _win(q, i + 2, {**here, fvar: bool(a)})
+            if sub is None:
+                break
+            kids.append(StrategyNode(a, (sub,)))
+        else:
+            return StrategyNode(label, tuple(kids))
+    return None
 
 
 def check_strategy_tree(q: Qbf, root: StrategyNode) -> CheckResult:
@@ -467,7 +458,10 @@ def exhaustive_unary_corpus(max_clauses: int = 3) -> list[Qbf]:
     return out
 
 
-_CORPUS_VARS = ("x", "y", "z", "u", "v")
+def _corpus_vars(n: int) -> tuple[str, ...]:
+    """x, y, z, u, v, then w0, w1, ...; the first five names are fixed, so a
+    seed gives the same sentences of prefix at most 5 as it always did."""
+    return ("x", "y", "z", "u", "v", *(f"w{k}" for k in range(n - 5)))[:n]
 
 
 def random_corpus(count: int, seed: int, prefix_lengths: Sequence[int] = (1, 3, 5),
@@ -481,7 +475,7 @@ def random_corpus(count: int, seed: int, prefix_lengths: Sequence[int] = (1, 3, 
     out = []
     for _ in range(count):
         n = rng.choice(list(prefix_lengths))
-        vs = _CORPUS_VARS[:n]
+        vs = _corpus_vars(n)
         prefix = tuple((EXISTS if i % 2 == 0 else FORALL, v)
                        for i, v in enumerate(vs))
         clauses = tuple(

@@ -7,7 +7,7 @@ from clprover.bridge import (
 from clprover.elementary import is_stable
 from clprover.formula import Constant, is_elementary, parse_formula
 from clprover.prover import (
-    ChooseTerm, MatchPair, WAIT, Wait, check_proof, prove,
+    ChooseTerm, MatchPair, ProofNode, WAIT, Wait, check_proof, prove,
 )
 from clprover.qbf import (
     StrategyNode, check_strategy_tree, eval_qbf, exhaustive_unary_corpus,
@@ -135,8 +135,10 @@ def test_every_wait_leaf_is_a_stable_leaf_form():
 # proof -> strategy
 
 def test_round_trip_reproduces_trees():
-    corpus = exhaustive_unary_corpus(2) + random_corpus(40, seed=5,
-                                                        prefix_lengths=(3,))
+    corpus = (exhaustive_unary_corpus(2)
+              + random_corpus(40, seed=5, prefix_lengths=(3,))
+              + random_corpus(6, seed=1, prefix_lengths=(5,), min_clauses=2)
+              + random_corpus(3, seed=1, prefix_lengths=(7,), min_clauses=2))
     for q in corpus:
         tree = winning_strategy_tree(q)
         if tree is None:
@@ -155,6 +157,23 @@ def test_extracting_from_the_prover_requires_canonicalizing():
     assert check_strategy_tree(WORKED_PHI, tree)
 
 
+def test_swapped_wait_premises_are_not_canonical():
+    def swap_first_split(node):
+        if isinstance(node.rule, Wait) and len(node.premises) == 2:
+            return ProofNode(node.conclusion, node.rule, node.premises[::-1])
+        return ProofNode(node.conclusion, node.rule,
+                         (swap_first_split(node.premises[0]),) + node.premises[1:])
+
+    proof = strategy_to_proof(WORKED_PHI, winning_strategy_tree(WORKED_PHI))
+    swapped = swap_first_split(proof)
+    assert swapped != proof
+    # the checker compares wait premises as a set, so the swap still checks
+    assert check_proof(swapped)
+    assert canonicalize_proof(swapped) == proof
+    with pytest.raises(BridgeError, match="not canonical"):
+        proof_to_strategy(WORKED_PHI, swapped)
+
+
 def test_root_mismatch_is_rejected():
     q1 = parse_qbf("exists x : (x | x | x)")
     q2 = parse_qbf("exists x : (-x | -x | -x)")
@@ -166,7 +185,6 @@ def test_root_mismatch_is_rejected():
 def test_unchecked_proof_is_rejected():
     q = parse_qbf("exists x : (x | x | x)")
     good = strategy_to_proof(q, StrategyNode(1))
-    from clprover.prover import ProofNode
     bad = ProofNode(good.conclusion, WAIT, ())
     with pytest.raises(BridgeError, match="check"):
         proof_to_strategy(q, bad)
@@ -194,7 +212,6 @@ def test_canonicalize_is_idempotent_on_search_output():
 
 
 def test_canonicalize_rejects_broken_input():
-    from clprover.prover import ProofNode
     bad = ProofNode(parse_formula("p cand q"), WAIT, ())
     with pytest.raises(BridgeError, match="does not check"):
         canonicalize_proof(bad)

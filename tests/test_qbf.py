@@ -289,5 +289,8 @@ def test_random_corpus_is_reproducible_and_bounded():
         validate_qbf(q)
         assert len(q.prefix) == 3
         assert 2 <= len(q.matrix) <= 4
+    for q in random_corpus(10, seed=99, prefix_lengths=(7,)):
+        validate_qbf(q)
+        assert len(q.prefix) == 7
     with pytest.raises(QbfError):
         random_corpus(1, seed=1, prefix_lengths=(2,))
