@@ -78,8 +78,10 @@ def cmd_prove(args) -> int:
         print(json.dumps({
             "provable": proof is not None,
             "proof": proof_to_dict(proof) if proof else None,
-            "stats": {"states": stats.states, "maxDepth": stats.max_depth,
-                      "measure": measure(f)},
+            "stats": {"states": stats.states,
+                      "stableChecks": stats.stable_checks,
+                      "memoHits": stats.memo_hits,
+                      "maxDepth": stats.max_depth, "measure": measure(f)},
         }, ensure_ascii=False, indent=2))
     elif proof is None:
         print(f"not provable in {config.logic.value}")
@@ -468,6 +470,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except _ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nests too deeply to process", file=sys.stderr)
         return 2
 
 

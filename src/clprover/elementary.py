@@ -7,6 +7,16 @@ literals become F (a positive one is unresolved, a negated one is the
 negation of something at least as strong as T).  What remains is a classical
 formula over elementary literals, and a formula is stable when that remnant
 is classically valid.
+
+Validity is decided on the structure of the formula, with no truth
+assignments.  The check flattens a disjunction into its literals, T, F and
+conjunctive disjuncts.  A disjunction of literals alone is valid exactly
+when it holds T or a complementary pair p, ~p (with equal letter and
+arguments): otherwise the assignment that makes every literal false refutes
+it, and F never helps.  A conjunctive disjunct is split by distributivity:
+D \\/ (c1 /\\ ... /\\ ck) is valid exactly when every D \\/ ci is.  Each split
+removes one conjunction, so the check ends, and at the end only literals
+remain, where the test above is exact.
 """
 
 from __future__ import annotations
@@ -75,77 +85,44 @@ def evaluate(f: Formula, assignment: dict) -> bool:
     raise NotElementaryError(f"not an elementary formula: {f!r}")
 
 
-def _negate(f: Formula) -> Formula:
-    # dual in negation normal form
-    if isinstance(f, Top):
-        return BOT
-    if isinstance(f, Bot):
-        return TOP
-    if isinstance(f, Atom):
-        return Atom(f.letter, f.args, not f.negated)
-    if isinstance(f, ParAnd):
-        return ParOr(tuple(_negate(o) for o in f.operands))
-    if isinstance(f, ParOr):
-        return ParAnd(tuple(_negate(o) for o in f.operands))
-    raise NotElementaryError(f"not an elementary formula: {f!r}")
-
-
-def _simplify(f: Formula, assignment: dict) -> Formula:
-    if isinstance(f, Atom):
-        key = atom_key(f)
-        if key in assignment:
-            v = assignment[key] != f.negated
-            return TOP if v else BOT
-        return f
-    if isinstance(f, (ParAnd, ParOr)):
-        is_and = isinstance(f, ParAnd)
-        ops = []
-        for o in f.operands:
-            s = _simplify(o, assignment)
-            if isinstance(s, Top):
-                if not is_and:
-                    return TOP
-            elif isinstance(s, Bot):
-                if is_and:
-                    return BOT
+def _valid(pending: list, lits: set) -> bool:
+    """Classical validity of the disjunction of the elementary formulas in
+    `pending` and the (atom_key, negated) literals in `lits`.  Neither
+    argument is modified."""
+    pending = list(pending)
+    lits = set(lits)
+    rest = []
+    conj = None
+    while pending:
+        f = pending.pop()
+        if isinstance(f, ParOr):
+            pending.extend(f.operands)
+        elif isinstance(f, Atom):
+            key = atom_key(f)
+            if (key, not f.negated) in lits:
+                return True
+            lits.add((key, f.negated))
+        elif isinstance(f, Top):
+            return True
+        elif isinstance(f, ParAnd):
+            if conj is None:
+                conj = f
             else:
-                ops.append(s)
-        if not ops:
-            return TOP if is_and else BOT
-        if len(ops) == 1:
-            return ops[0]
-        return (ParAnd if is_and else ParOr)(tuple(ops))
-    return f
-
-
-def _pick_atom(f: Formula):
-    if isinstance(f, Atom):
-        return atom_key(f)
-    if isinstance(f, (ParAnd, ParOr)):
-        for o in f.operands:
-            k = _pick_atom(o)
-            if k is not None:
-                return k
-    return None
-
-
-def _satisfiable(f: Formula) -> bool:
-    f = _simplify(f, {})
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
+                rest.append(f)
+    if conj is None:
         return False
-    key = _pick_atom(f)
-    return _satisfiable(_simplify(f, {key: True})) or \
-        _satisfiable(_simplify(f, {key: False}))
+    # D \/ (c1 /\ ... /\ ck) is valid exactly when every D \/ ci is.
+    return all(_valid(rest + [c], lits) for c in conj.operands)
 
 
 def is_valid_classical(f: Formula) -> bool:
-    """Classical validity of an elementary formula by refutation search."""
+    """Classical validity of an elementary formula."""
     if not is_elementary(f):
         raise NotElementaryError(f"not an elementary formula: {f!r}")
-    return not _satisfiable(_negate(f))
+    return _valid([f], set())
 
 
 def is_stable(f: Formula) -> bool:
-    return is_valid_classical(elementarize(f))
+    # elementarize always returns an elementary formula, so the guard of
+    # is_valid_classical would only walk the tree again.
+    return _valid([elementarize(f)], set())

@@ -114,6 +114,8 @@ class SearchStats:
     states: int = 0
     shortcut_states: int = 0
     max_depth: int = 0
+    stable_checks: int = 0  # is_stable calls made by the search
+    memo_hits: int = 0  # decide calls answered from the memo
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +369,7 @@ class _Search:
     def _stable(self, f: Formula, key: str) -> bool:
         v = self.stable_memo.get(key)
         if v is None:
+            self.stats.stable_checks += 1
             v = is_stable(f)
             self.stable_memo[key] = v
         return v
@@ -378,6 +381,7 @@ class _Search:
             self.stats.max_depth = depth
         key = render_formula(f)
         if self.config.memoization and key in self.memo:
+            self.stats.memo_hits += 1
             return self.memo[key]
         verdict = self._decide_state(f, key, depth)
         if self.config.memoization:
@@ -415,6 +419,7 @@ class _Search:
             counts[k] = counts.get(k, 0) + 1
             if counts[k] > 1:
                 return False, False
+        self.stats.stable_checks += 1
         return True, is_stable(_match_all(f))
 
     def build(self, f: Formula, depth: int) -> ProofNode:

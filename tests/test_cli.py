@@ -51,6 +51,12 @@ def test_prove_json_report(capsys):
     doc = json.loads(out)
     assert doc["provable"] is True
     assert doc["stats"]["maxDepth"] <= doc["stats"]["measure"] + 1
+    assert doc["stats"]["stableChecks"] >= 1
+    # the build pass asks again for the verdict of the premise it picks
+    code, out, _ = run(capsys, "prove", "--formula", "cex x: (p(x) \\/ ~p(1))",
+                       "--json")
+    stats = json.loads(out)["stats"]
+    assert code == 0 and stats["memoHits"] >= 1 and stats["stableChecks"] >= 1
 
 
 def test_prove_reads_formula_from_file(capsys, tmp_path):
@@ -248,6 +254,16 @@ def test_parse_errors_exit_two(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "qbf", "eval", "--qbf", "exists x : (x | x)")
     assert code == 2 and "width" in err
+
+
+def test_deep_input_exits_two(capsys):
+    # 251 quantifiers: deeper than the recursive layers can follow
+    prefix = " ".join(("exists" if i % 2 == 0 else "forall") + f" w{i}"
+                      for i in range(251))
+    code, _, err = run(capsys, "reduce", "--target", "cl4",
+                       "--qbf", prefix + " : (w0 | w1 | w2)")
+    assert code == 2
+    assert err.startswith("error: input nests too deeply")
 
 
 def test_conflicting_sources_exit_two(capsys, tmp_path):

@@ -62,8 +62,11 @@ def test_is_valid_rejects_non_elementary():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**9))
 def test_is_valid_matches_truth_tables(seed):
-    f = elementarize(random_formula(random.Random(seed), budget=7))
-    assert is_valid_classical(f) == tt_valid(f)
+    # budget 24 nests conjunctions inside disjunctions often enough to
+    # exercise the distributive split
+    for budget in (7, 24):
+        f = elementarize(random_formula(random.Random(seed), budget=budget))
+        assert is_valid_classical(f) == tt_valid(f)
 
 
 def test_atom_keys_distinguish_argument_tuples():

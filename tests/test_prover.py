@@ -14,6 +14,8 @@ from clprover.prover import (
     check_proof, enumerate_moves, measure, proof_from_json, proof_to_dict,
     proof_to_json, prove, prove_with_stats, term_pool, wait_premises,
 )
+from clprover.qbf import eval_qbf, random_corpus
+from clprover.reduction import reduce_to_cl3, reduce_to_cl4
 
 
 CL3 = ProverConfig(logic=Logic.CL3)
@@ -173,6 +175,24 @@ def test_memoization_never_changes_the_proof(seed):
     with_memo = prove(f, ProverConfig(memoization=True))
     without = prove(f, ProverConfig(memoization=False))
     assert with_memo == without
+
+
+@pytest.mark.parametrize("clauses", (8, 10))
+def test_wide_one_variable_sentences(clauses):
+    # the width ladder: one variable, many clauses, so almost all the work
+    # is classical validity
+    corpus = random_corpus(40, seed=clauses, prefix_lengths=(1,),
+                           min_clauses=clauses, max_clauses=clauses)
+    picked = {}
+    for q in corpus:
+        picked.setdefault(eval_qbf(q), q)
+    assert set(picked) == {True, False}
+    for truth, q in picked.items():
+        proof = prove(reduce_to_cl4(q))
+        assert (proof is not None) == truth
+        assert (prove(reduce_to_cl3(q), CL3) is not None) == truth
+        if proof is not None:
+            assert check_proof(proof)
 
 
 def test_determinism_on_repeat_runs():
