@@ -1,0 +1,60 @@
+"""Golden digests of the proofs the library emits.
+
+A fixed seeded corpus of sentences (prefixes 1, 3 and 5) is run through the
+cl4 search, the cl3 search and strategy_to_proof; the SHA-256 of each
+proof's JSON must equal the value stored in tests/data/golden_proofs.json.
+A refactor that changes any emitted proof, even by one byte, fails here.
+
+Regenerate the data file (only when a proof change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from clprover.bridge import strategy_to_proof
+from clprover.prover import Logic, ProverConfig, proof_to_json, prove
+from clprover.qbf import random_corpus, render_qbf, winning_strategy_tree
+from clprover.reduction import reduce_to_cl3, reduce_to_cl4
+
+DATA = Path(__file__).parent / "data" / "golden_proofs.json"
+CORPUS = random_corpus(20, seed=2024, prefix_lengths=(1, 3, 5),
+                       max_clauses=4, min_clauses=2)
+
+
+def _digest(proof) -> str | None:
+    if proof is None:
+        return None
+    return hashlib.sha256(proof_to_json(proof).encode("utf-8")).hexdigest()
+
+
+def digests(q) -> dict:
+    tree = winning_strategy_tree(q)
+    return {
+        "sentence": render_qbf(q),
+        "cl4": _digest(prove(reduce_to_cl4(q))),
+        "cl3": _digest(prove(reduce_to_cl3(q), ProverConfig(logic=Logic.CL3))),
+        "bridge": _digest(strategy_to_proof(q, tree) if tree else None),
+    }
+
+
+def test_golden_corpus_has_both_verdicts():
+    golden = json.loads(DATA.read_text())
+    assert len(golden) == len(CORPUS)
+    assert {row["cl4"] is None for row in golden} == {False, True}
+
+
+@pytest.mark.parametrize("i", range(len(CORPUS)))
+def test_proof_digests_match_golden(i):
+    golden = json.loads(DATA.read_text())[i]
+    assert digests(CORPUS[i]) == golden
+
+
+if __name__ == "__main__":
+    DATA.write_text(json.dumps([digests(q) for q in CORPUS], indent=1) + "\n")
