@@ -81,6 +81,7 @@ def cmd_prove(args) -> int:
             "stats": {"states": stats.states,
                       "stableChecks": stats.stable_checks,
                       "memoHits": stats.memo_hits,
+                      "forcedMatches": stats.forced_matches,
                       "maxDepth": stats.max_depth, "measure": measure(f)},
         }, ensure_ascii=False, indent=2))
     elif proof is None:

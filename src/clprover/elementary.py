@@ -32,14 +32,20 @@ class NotElementaryError(FormulaError):
 
 
 def elementarize(f: Formula) -> Formula:
+    return _elementarize(f, frozenset())
+
+
+def _elementarize(f: Formula, keep) -> Formula:
+    """elementarize, except that general atoms whose letter name is in keep
+    stay as they are."""
     if isinstance(f, (Top, Bot)):
         return f
     if isinstance(f, Atom):
-        return BOT if f.letter.sort == GENERAL else f
+        return BOT if f.letter.sort == GENERAL and f.letter.name not in keep else f
     if isinstance(f, ParAnd):
-        return ParAnd(tuple(elementarize(o) for o in f.operands))
+        return ParAnd(tuple(_elementarize(o, keep) for o in f.operands))
     if isinstance(f, ParOr):
-        return ParOr(tuple(elementarize(o) for o in f.operands))
+        return ParOr(tuple(_elementarize(o, keep) for o in f.operands))
     if isinstance(f, (ChoAnd, ChoAll)):
         return TOP
     if isinstance(f, (ChoOr, ChoEx)):
@@ -126,3 +132,15 @@ def is_stable(f: Formula) -> bool:
     # elementarize always returns an elementary formula, so the guard of
     # is_valid_classical would only walk the tree again.
     return _valid([elementarize(f)], set())
+
+
+def is_stable_matched(f: Formula, letters) -> bool:
+    """Stability of a choiceless f after matching, for each general letter
+    name in letters, its one positive with its one negative occurrence.
+
+    A match gives the pair a fresh elementary letter of its own, so the
+    matched atoms are complementary exactly when their arguments agree.
+    Keeping the general atoms themselves as literals decides the same
+    thing: their upper-case names never meet an elementary atom_key.
+    """
+    return _valid([_elementarize(f, letters)], set())

@@ -82,9 +82,13 @@ class LetterId:
 
 
 class Formula:
-    """Base class; all nodes are immutable and compare structurally."""
+    """Base class; all nodes are immutable and compare structurally.
 
-    __slots__ = ()
+    The one extra slot holds the node's Facts once a query has asked for
+    them; it takes no part in equality or hashing.
+    """
+
+    __slots__ = ("_facts",)
 
     def __str__(self) -> str:
         return render_formula(self)
@@ -148,7 +152,6 @@ BOT = Bot()
 _NARY = (ParAnd, ParOr, ChoAnd, ChoOr)
 _QUANT = (ChoAll, ChoEx)
 _PARALLEL = (ParAnd, ParOr)
-_CHOICE = (ChoAnd, ChoOr, ChoAll, ChoEx)
 
 
 # ---------------------------------------------------------------------------
@@ -233,47 +236,96 @@ def surface_general_atoms(f: Formula) -> list[tuple[Path, Atom]]:
 # ---------------------------------------------------------------------------
 # queries
 
+class Facts:
+    """Whole-formula summary, filled by one pre-order walk on first use.
+
+    letters holds the first LetterId met for each (sort, name), in
+    first-occurrence order, and counts the occurrences of each; clash is the
+    message for the first arity clash, or None.  bound, free and consts are
+    the bound variables, free variables and constants, as tuples without
+    repeats.  choices counts choice operators and generals general-atom
+    occurrences.  valid records that validate_formula has passed the node.
+    Nodes are immutable, so a summary never goes stale.
+    """
+
+    __slots__ = ("letters", "counts", "clash", "bound", "free", "consts",
+                 "choices", "generals", "valid")
+
+    def __init__(self, f: Formula):
+        letters: dict[tuple[str, str], LetterId] = {}
+        counts: dict[tuple[str, str], int] = {}
+        clash = None
+        bound: set[str] = set()
+        free: set[str] = set()
+        consts: set[int] = set()
+        choices = generals = 0
+        stack: list[tuple[Formula, frozenset]] = [(f, frozenset())]
+        while stack:
+            node, scope = stack.pop()
+            if isinstance(node, Atom):
+                lid = node.letter
+                key = (lid.sort, lid.name)
+                first = letters.setdefault(key, lid)
+                counts[key] = counts.get(key, 0) + 1
+                if first.arity != lid.arity and clash is None:
+                    clash = (f"letter {lid.name} used with arities "
+                             f"{first.arity} and {lid.arity}")
+                if lid.sort == GENERAL:
+                    generals += 1
+                for t in node.args:
+                    if isinstance(t, Variable):
+                        if t.name not in scope:
+                            free.add(t.name)
+                    elif isinstance(t, Constant):
+                        consts.add(t.value)
+            elif isinstance(node, _NARY):
+                if not isinstance(node, _PARALLEL):
+                    choices += 1
+                ops = node.operands
+                for i in range(len(ops) - 1, -1, -1):
+                    stack.append((ops[i], scope))
+            elif isinstance(node, _QUANT):
+                choices += 1
+                bound.add(node.var)
+                stack.append((node.body, scope | {node.var}))
+        self.letters = tuple(letters.values())
+        self.counts = tuple(counts.values())
+        self.clash = clash
+        self.bound = tuple(bound)
+        self.free = tuple(free)
+        self.consts = tuple(consts)
+        self.choices = choices
+        self.generals = generals
+        self.valid = False
+
+
+def facts(f: Formula) -> Facts:
+    try:
+        return f._facts
+    except AttributeError:
+        s = Facts(f)
+        object.__setattr__(f, "_facts", s)
+        return s
+
+
 def free_variables(f: Formula) -> set[str]:
-    free: set[str] = set()
-
-    def walk(node, bound):
-        if isinstance(node, Atom):
-            for t in node.args:
-                if isinstance(t, Variable) and t.name not in bound:
-                    free.add(t.name)
-        elif isinstance(node, _QUANT):
-            walk(node.body, bound | {node.var})
-        else:
-            for kid in children(node):
-                walk(kid, bound)
-
-    walk(f, frozenset())
-    return free
+    return set(facts(f).free)
 
 
 def bound_variables(f: Formula) -> set[str]:
-    return {n.var for _, n in subformulas(f) if isinstance(n, _QUANT)}
+    return set(facts(f).bound)
 
 
 def constants(f: Formula) -> set[int]:
-    out: set[int] = set()
-    for _, n in subformulas(f):
-        if isinstance(n, Atom):
-            out.update(t.value for t in n.args if isinstance(t, Constant))
-    return out
+    return set(facts(f).consts)
 
 
 def letter_table(f: Formula) -> dict[tuple[str, str], int]:
     """Map (sort, name) -> arity for every letter occurring in f."""
-    table: dict[tuple[str, str], int] = {}
-    for _, n in subformulas(f):
-        if isinstance(n, Atom):
-            key = (n.letter.sort, n.letter.name)
-            prev = table.setdefault(key, n.letter.arity)
-            if prev != n.letter.arity:
-                raise FormulaError(
-                    f"letter {n.letter.name} used with arities {prev} and {n.letter.arity}")
-    return table
+    s = facts(f)
+    if s.clash:
+        raise FormulaError(s.clash)
+    return {(lid.sort, lid.name): lid.arity for lid in s.letters}
 
 
 def letter_names(f: Formula) -> set[str]:
@@ -281,17 +333,17 @@ def letter_names(f: Formula) -> set[str]:
 
 
 def has_choice(f: Formula) -> bool:
-    return any(isinstance(n, _CHOICE) for _, n in subformulas(f))
+    return facts(f).choices > 0
 
 
 def has_general(f: Formula) -> bool:
-    return any(isinstance(n, Atom) and n.letter.sort == GENERAL
-               for _, n in subformulas(f))
+    return facts(f).generals > 0
 
 
 def is_elementary(f: Formula) -> bool:
     """No choice operators and no general letters anywhere."""
-    return not has_choice(f) and not has_general(f)
+    s = facts(f)
+    return not s.choices and not s.generals
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +385,17 @@ def validate_formula(f: Formula) -> None:
     Letters must have well-formed names whose case agrees with their sort and
     a consistent arity.  Constants are naturals.  N-ary connectives have at
     least two operands.  No variable is bound twice or both free and bound.
+    A node that passed once is not walked again.
     """
-    binders: list[str] = []
-
-    def walk(node, bound):
+    known = getattr(f, "_facts", None)
+    if known is not None and known.valid:
+        return
+    binders: set[str] = set()
+    stack = [f]
+    while stack:
+        node = stack.pop()
         if isinstance(node, (Top, Bot)):
-            return
+            continue
         if isinstance(node, Atom):
             lid = node.letter
             if not is_letter_name(lid.name):
@@ -357,62 +414,81 @@ def validate_formula(f: Formula) -> None:
                         raise FormulaError(f"invalid variable name {t.name!r}")
                 else:
                     raise FormulaError(f"bad term {t!r}")
-            return
-        if isinstance(node, _NARY):
+        elif isinstance(node, _NARY):
             if len(node.operands) < 2:
                 raise FormulaError(f"{type(node).__name__} needs at least two operands")
-            for kid in node.operands:
-                walk(kid, bound)
-            return
-        if isinstance(node, _QUANT):
+            stack.extend(reversed(node.operands))
+        elif isinstance(node, _QUANT):
             if not is_variable_name(node.var):
                 raise FormulaError(f"invalid variable name {node.var!r}")
             if node.var in binders:
                 raise FormulaError(f"variable {node.var} is bound twice")
-            binders.append(node.var)
-            walk(node.body, bound | {node.var})
-            return
-        raise FormulaError(f"not a formula node: {node!r}")
-
-    walk(f, frozenset())
-    letter_table(f)  # arity consistency across occurrences
-    clash = free_variables(f) & bound_variables(f)
+            binders.add(node.var)
+            stack.append(node.body)
+        else:
+            raise FormulaError(f"not a formula node: {node!r}")
+    s = facts(f)
+    if s.clash:  # arity consistency across occurrences
+        raise FormulaError(s.clash)
+    clash = set(s.free).intersection(s.bound)
     if clash:
         raise FormulaError(f"variable {sorted(clash)[0]} is both free and bound")
+    s.valid = True
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
-_PAR_SEPS = {ParAnd: " /\\ ", ParOr: " \\/ ", ChoAnd: " cand ", ChoOr: " cor "}
+class _Text(str):
+    """Literal output queued by render_formula beside the nodes to render."""
+    __slots__ = ()
+
+
+_PAR_SEPS = {cls: _Text(sep) for cls, sep in (
+    (ParAnd, " /\\ "), (ParOr, " \\/ "), (ChoAnd, " cand "), (ChoOr, " cor "))}
 _QUANT_KW = {ChoAll: "call", ChoEx: "cex"}
+_COMPOUND = frozenset(_NARY + _QUANT)
+_OPEN, _CLOSE = _Text("("), _Text(")")
 
 
 def render_formula(f: Formula) -> str:
     """Canonical ASCII text; parse_formula is its inverse."""
-    if isinstance(f, Top):
-        return "T"
-    if isinstance(f, Bot):
-        return "F"
-    if isinstance(f, Atom):
-        s = f.letter.name
-        if f.args:
-            s += "(" + ", ".join(str(t) for t in f.args) + ")"
-        return ("~" if f.negated else "") + s
-    if isinstance(f, _NARY):
-        sep = _PAR_SEPS[type(f)]
-        return sep.join(_render_operand(o) for o in f.operands)
-    if isinstance(f, _QUANT):
-        return f"{_QUANT_KW[type(f)]} {f.var}: {render_formula(f.body)}"
-    raise FormulaError(f"not a formula node: {f!r}")
-
-
-def _render_operand(f: Formula) -> str:
-    # compound operands are parenthesized so chains never re-associate and a
-    # quantifier body never swallows the rest of the chain
-    if isinstance(f, _NARY + _QUANT):
-        return "(" + render_formula(f) + ")"
-    return render_formula(f)
+    out: list[str] = []
+    stack: list = [f]  # nodes still to render, and _Text to emit
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is _Text:
+            out.append(node)
+        elif kind is Atom:
+            if node.negated:
+                out.append("~")
+            out.append(node.letter.name)
+            if node.args:
+                out.append("(" + ", ".join([str(t) for t in node.args]) + ")")
+        elif kind in _PAR_SEPS:
+            sep = _PAR_SEPS[kind]
+            ops = node.operands
+            for i in range(len(ops) - 1, -1, -1):
+                # compound operands are parenthesized so chains never
+                # re-associate and a quantifier body never swallows the rest
+                # of the chain
+                if type(ops[i]) in _COMPOUND:
+                    stack.extend((_CLOSE, ops[i], _OPEN))
+                else:
+                    stack.append(ops[i])
+                if i:
+                    stack.append(sep)
+        elif kind in _QUANT_KW:
+            out.append(f"{_QUANT_KW[kind]} {node.var}: ")
+            stack.append(node.body)
+        elif kind is Top:
+            out.append("T")
+        elif kind is Bot:
+            out.append("F")
+        else:
+            raise FormulaError(f"not a formula node: {node!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
-from .elementary import is_stable
+from .elementary import is_stable, is_stable_matched
 from .formula import (
     Atom, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, Formula, FormulaError,
     GENERAL, ELEMENTARY, LetterId, ParAnd, ParOr, Path, Term, Variable,
-    bound_variables, constants, free_variables, has_choice, has_general,
-    is_letter_name, is_variable_name, letter_names, parse_formula,
-    render_formula, replace_at, resolve_path, subformulas, substitute_var,
+    bound_variables, constants, facts, free_variables, has_choice,
+    has_general, is_letter_name, is_variable_name, letter_names, parse_formula,
+    render_formula, replace_at, substitute_var,
     surface_general_atoms, surface_occurrences, validate_formula,
 )
 
@@ -116,6 +116,7 @@ class SearchStats:
     max_depth: int = 0
     stable_checks: int = 0  # is_stable calls made by the search
     memo_hits: int = 0  # decide calls answered from the memo
+    forced_matches: int = 0  # forced-match shortcuts taken
 
 
 # ---------------------------------------------------------------------------
@@ -124,17 +125,13 @@ class SearchStats:
 def measure(f: Formula) -> int:
     """Choice operators plus general-atom occurrences; every rule strictly
     lowers it, so it bounds the proof height."""
-    n = 0
-    for _, node in subformulas(f):
-        if isinstance(node, (ChoAnd, ChoOr, ChoAll, ChoEx)):
-            n += 1
-        elif isinstance(node, Atom) and node.letter.sort == GENERAL:
-            n += 1
-    return n
+    s = facts(f)
+    return s.choices + s.generals
 
 
 def fresh_wait_variable(f: Formula) -> str:
-    used = free_variables(f) | bound_variables(f)
+    s = facts(f)
+    used = {*s.free, *s.bound}
     k = 0
     while f"w{k}" in used:
         k += 1
@@ -280,51 +277,45 @@ def enumerate_moves(f: Formula, config: ProverConfig) -> list[Move]:
         for path, _ in exs:
             moves.extend(ChooseTerm(path, t) for t in pool)
     if config.logic is Logic.CL4:
-        pos: dict[str, list[Path]] = {}
-        neg: dict[str, list[Path]] = {}
-        order: list[LetterId] = []
-        seen: set[str] = set()
-        for path, a in surface_general_atoms(f):
-            if a.letter.name not in seen:
-                seen.add(a.letter.name)
-                order.append(a.letter)
-            (neg if a.negated else pos).setdefault(a.letter.name, []).append(path)
-        for letter in order:
-            pp = pos.get(letter.name, [])
-            np = neg.get(letter.name, [])
-            if pp and np:
-                fresh = fresh_match_letter(f, letter)
-                moves.extend(MatchPair(p, n, fresh) for p in pp for n in np)
+        for letter, pp, np in _matchable(f):
+            fresh = fresh_match_letter(f, letter)
+            moves.extend(MatchPair(p, n, fresh) for p in pp for n in np)
     return moves
 
 
 # ---------------------------------------------------------------------------
 # search
 
+def _surface_index(f: Formula) -> tuple[list[LetterId], dict[str, list[Path]],
+                                         dict[str, list[Path]]]:
+    """The general letters of f's surface atoms in first-occurrence order,
+    with the paths of their positive and of their negative occurrences."""
+    order: list[LetterId] = []
+    pos: dict[str, list[Path]] = {}
+    neg: dict[str, list[Path]] = {}
+    for path, a in surface_general_atoms(f):
+        name = a.letter.name
+        if name not in pos and name not in neg:
+            order.append(a.letter)
+        (neg if a.negated else pos).setdefault(name, []).append(path)
+    return order, pos, neg
+
+
+def _matchable(f: Formula) -> list[tuple[LetterId, list[Path], list[Path]]]:
+    """(letter, positive paths, negative paths) for each general letter with
+    surface occurrences of both polarities, in first-occurrence order."""
+    order, pos, neg = _surface_index(f)
+    return [(L, pos[L.name], neg[L.name]) for L in order
+            if L.name in pos and L.name in neg]
+
+
 def first_match_move(f: Formula) -> Optional[MatchPair]:
     """The canonical next match: the first letter (in surface occurrence
     order) with both polarities present, pairing its first positive and
     first negative occurrence.  None when nothing is matchable."""
-    pos: dict[str, Path] = {}
-    neg: dict[str, Path] = {}
-    order: list[LetterId] = []
-    for path, a in surface_general_atoms(f):
-        if a.letter.name not in pos and a.letter.name not in neg:
-            order.append(a.letter)
-        (neg if a.negated else pos).setdefault(a.letter.name, path)
-    target = next((L for L in order if L.name in pos and L.name in neg), None)
-    if target is None:
-        return None
-    return MatchPair(pos[target.name], neg[target.name],
-                     fresh_match_letter(f, target))
-
-
-def _match_all(f: Formula) -> Formula:
-    move = first_match_move(f)
-    while move is not None:
-        f = apply_move(f, move)
-        move = first_match_move(f)
-    return f
+    for letter, pp, np in _matchable(f):
+        return MatchPair(pp[0], np[0], fresh_match_letter(f, letter))
+    return None
 
 
 def _forced_match_move(f: Formula) -> Optional[MatchPair]:
@@ -337,23 +328,14 @@ def _forced_match_move(f: Formula) -> Optional[MatchPair]:
     Taking the step eagerly collapses the exponential family of match
     orderings the plain search would wade through.
     """
-    total: dict[str, int] = {}
-    for _, node in subformulas(f):
-        if isinstance(node, Atom) and node.letter.sort == GENERAL:
-            total[node.letter.name] = total.get(node.letter.name, 0) + 1
-    pos: dict[str, Path] = {}
-    neg: dict[str, Path] = {}
-    order: list[LetterId] = []
-    seen: set[str] = set()
-    for path, a in surface_general_atoms(f):
-        if a.letter.name not in seen:
-            seen.add(a.letter.name)
-            order.append(a.letter)
-        (neg if a.negated else pos).setdefault(a.letter.name, path)
-    for letter in order:
-        if total[letter.name] == 2 and letter.name in pos and letter.name in neg:
-            return MatchPair(pos[letter.name], neg[letter.name],
-                             fresh_match_letter(f, letter))
+    s = facts(f)
+    if not s.generals:
+        return None
+    total = {lid.name: n for lid, n in zip(s.letters, s.counts)
+             if lid.sort == GENERAL}
+    for letter, pp, np in _matchable(f):
+        if total[letter.name] == 2:
+            return MatchPair(pp[0], np[0], fresh_match_letter(f, letter))
     return None
 
 
@@ -398,6 +380,7 @@ class _Search:
         if self.config.logic is Logic.CL4:
             forced = _forced_match_move(f)
             if forced is not None:
+                self.stats.forced_matches += 1
                 return self.decide(apply_move(f, forced), depth + 1)
         if self._stable(f, key) and \
                 all(self.decide(p, depth + 1) for p in wait_premises(f)):
@@ -413,14 +396,11 @@ class _Search:
         # the match rule the verdict is plain stability.
         if self.config.logic is Logic.CL3:
             return True, self._stable(f, key)
-        counts: dict[tuple[str, bool], int] = {}
-        for _, a in surface_general_atoms(f):
-            k = (a.letter.name, a.negated)
-            counts[k] = counts.get(k, 0) + 1
-            if counts[k] > 1:
-                return False, False
+        _, pos, neg = _surface_index(f)
+        if any(len(paths) > 1 for paths in (*pos.values(), *neg.values())):
+            return False, False
         self.stats.stable_checks += 1
-        return True, is_stable(_match_all(f))
+        return True, is_stable_matched(f, pos.keys() & neg.keys())
 
     def build(self, f: Formula, depth: int) -> ProofNode:
         key = render_formula(f)

@@ -13,12 +13,12 @@ import itertools
 import random
 
 from clprover.formula import (
-    Atom, Bot, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, Formula, LetterId,
-    ParAnd, ParOr, Top, Variable, BOT, ELEMENTARY, GENERAL, TOP,
-    children, replace_at, substitute_var, surface_occurrences, validate_formula,
-    with_children,
+    Atom, Bot, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, Formula, FormulaError,
+    LetterId, ParAnd, ParOr, Top, Variable, BOT, ELEMENTARY, GENERAL, TOP,
+    children, replace_at, subformulas, substitute_var, surface_general_atoms,
+    surface_occurrences, validate_formula, with_children,
 )
-from clprover.prover import Logic
+from clprover.prover import Logic, MatchPair, apply_move, fresh_match_letter
 from clprover.qbf import EXISTS, Qbf, StrategyNode
 
 
@@ -171,6 +171,130 @@ def naive_provable(f: Formula, logic: Logic = Logic.CL4) -> bool:
                                 for p in _oracle_wait_premises(f)):
         return True
     return any(naive_provable(g, logic) for g in _oracle_moves(f, logic))
+
+
+# ---------------------------------------------------------------------------
+# whole-tree walks that the cached formula summaries replaced
+
+def ref_free_variables(f: Formula) -> set[str]:
+    free: set[str] = set()
+
+    def walk(node, bound):
+        if isinstance(node, Atom):
+            for t in node.args:
+                if isinstance(t, Variable) and t.name not in bound:
+                    free.add(t.name)
+        elif isinstance(node, (ChoAll, ChoEx)):
+            walk(node.body, bound | {node.var})
+        else:
+            for kid in children(node):
+                walk(kid, bound)
+
+    walk(f, frozenset())
+    return free
+
+
+def ref_bound_variables(f: Formula) -> set[str]:
+    return {n.var for _, n in subformulas(f) if isinstance(n, (ChoAll, ChoEx))}
+
+
+def ref_constants(f: Formula) -> set[int]:
+    out: set[int] = set()
+    for _, n in subformulas(f):
+        if isinstance(n, Atom):
+            out.update(t.value for t in n.args if isinstance(t, Constant))
+    return out
+
+
+def ref_letter_table(f: Formula) -> dict[tuple[str, str], int]:
+    table: dict[tuple[str, str], int] = {}
+    for _, n in subformulas(f):
+        if isinstance(n, Atom):
+            key = (n.letter.sort, n.letter.name)
+            prev = table.setdefault(key, n.letter.arity)
+            if prev != n.letter.arity:
+                raise FormulaError(
+                    f"letter {n.letter.name} used with arities {prev} and {n.letter.arity}")
+    return table
+
+
+def ref_has_choice(f: Formula) -> bool:
+    return any(isinstance(n, (ChoAnd, ChoOr, ChoAll, ChoEx)) for _, n in subformulas(f))
+
+
+def ref_has_general(f: Formula) -> bool:
+    return any(isinstance(n, Atom) and n.letter.sort == GENERAL
+               for _, n in subformulas(f))
+
+
+def ref_measure(f: Formula) -> int:
+    return sum(1 for _, n in subformulas(f)
+               if isinstance(n, (ChoAnd, ChoOr, ChoAll, ChoEx))
+               or (isinstance(n, Atom) and n.letter.sort == GENERAL))
+
+
+def ref_match_moves(f: Formula) -> list[MatchPair]:
+    """The match moves of f in search order, from a surface index of its own."""
+    pos: dict[str, list] = {}
+    neg: dict[str, list] = {}
+    order: list[LetterId] = []
+    seen: set[str] = set()
+    for path, a in surface_general_atoms(f):
+        if a.letter.name not in seen:
+            seen.add(a.letter.name)
+            order.append(a.letter)
+        (neg if a.negated else pos).setdefault(a.letter.name, []).append(path)
+    moves = []
+    for letter in order:
+        pp = pos.get(letter.name, [])
+        np_ = neg.get(letter.name, [])
+        if pp and np_:
+            fresh = fresh_match_letter(f, letter)
+            moves.extend(MatchPair(p, n, fresh) for p in pp for n in np_)
+    return moves
+
+
+def ref_forced_match_move(f: Formula):
+    total: dict[str, int] = {}
+    for _, node in subformulas(f):
+        if isinstance(node, Atom) and node.letter.sort == GENERAL:
+            total[node.letter.name] = total.get(node.letter.name, 0) + 1
+    pos: dict[str, tuple] = {}
+    neg: dict[str, tuple] = {}
+    order: list[LetterId] = []
+    for path, a in surface_general_atoms(f):
+        if a.letter.name not in pos and a.letter.name not in neg:
+            order.append(a.letter)
+        (neg if a.negated else pos).setdefault(a.letter.name, path)
+    for letter in order:
+        if total[letter.name] == 2 and letter.name in pos and letter.name in neg:
+            return MatchPair(pos[letter.name], neg[letter.name],
+                             fresh_match_letter(f, letter))
+    return None
+
+
+def ref_first_match_move(f: Formula):
+    pos: dict[str, tuple] = {}
+    neg: dict[str, tuple] = {}
+    order: list[LetterId] = []
+    for path, a in surface_general_atoms(f):
+        if a.letter.name not in pos and a.letter.name not in neg:
+            order.append(a.letter)
+        (neg if a.negated else pos).setdefault(a.letter.name, path)
+    target = next((L for L in order if L.name in pos and L.name in neg), None)
+    if target is None:
+        return None
+    return MatchPair(pos[target.name], neg[target.name],
+                     fresh_match_letter(f, target))
+
+
+def ref_match_all(f: Formula) -> Formula:
+    """f after every canonical match, one move at a time."""
+    move = ref_first_match_move(f)
+    while move is not None:
+        f = apply_move(f, move)
+        move = ref_first_match_move(f)
+    return f
 
 
 # ---------------------------------------------------------------------------

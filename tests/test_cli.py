@@ -1,12 +1,15 @@
 """End-to-end runs of the command line front end via main(argv)."""
 
 import json
+import sys
 
 import pytest
 
 from clprover.cli import main
+from clprover.formula import parse_formula
 from clprover.prover import check_proof, proof_from_json
 from clprover.qbf import parse_qbf, render_qdimacs
+from clprover.reduction import reduce_to_cl4
 
 TRUE_Q = "exists x : (x | x | x)"
 FALSE_Q = "exists x : (x | x | x) & (-x | -x | -x)"
@@ -57,6 +60,13 @@ def test_prove_json_report(capsys):
                        "--json")
     stats = json.loads(out)["stats"]
     assert code == 0 and stats["memoHits"] >= 1 and stats["stableChecks"] >= 1
+    assert stats["forcedMatches"] == 0
+    # P has one positive and one negative surface occurrence and no other,
+    # so the search matches them at once
+    code, out, _ = run(capsys, "prove", "--formula", "P \\/ ~P \\/ (p cor q)",
+                       "--json")
+    stats = json.loads(out)["stats"]
+    assert code == 0 and stats["forcedMatches"] >= 1
 
 
 def test_prove_reads_formula_from_file(capsys, tmp_path):
@@ -257,11 +267,24 @@ def test_parse_errors_exit_two(capsys):
 
 
 def test_deep_input_exits_two(capsys):
-    # 251 quantifiers: deeper than the recursive layers can follow
+    # 251 quantifiers: rendering is iterative, so the reduction goes through
     prefix = " ".join(("exists" if i % 2 == 0 else "forall") + f" w{i}"
                       for i in range(251))
-    code, _, err = run(capsys, "reduce", "--target", "cl4",
-                       "--qbf", prefix + " : (w0 | w1 | w2)")
+    q = prefix + " : (w0 | w1 | w2)"
+    code, out, _ = run(capsys, "reduce", "--target", "cl4", "--qbf", q)
+    assert code == 0
+    # the parser and node equality still recurse once per nesting level, so
+    # reading the image back and comparing it need a deeper stack
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20000)
+    try:
+        assert parse_formula(out) == reduce_to_cl4(parse_qbf(q))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_deeply_nested_formula_exits_two(capsys):
+    code, _, err = run(capsys, "prove", "--formula", "(" * 300 + "p" + ")" * 300)
     assert code == 2
     assert err.startswith("error: input nests too deeply")
 

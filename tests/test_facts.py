@@ -1,0 +1,170 @@
+"""The cached whole-formula summaries against the walks they replaced.
+
+Every query that reads Facts must answer exactly what its reference walk in
+conftest.py answers, on random formulas and on the states the search and
+the substitution derive from them.
+"""
+
+import random
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import (
+    random_formula, ref_bound_variables, ref_constants, ref_first_match_move,
+    ref_forced_match_move, ref_free_variables, ref_has_choice, ref_has_general,
+    ref_letter_table, ref_match_all, ref_match_moves, ref_measure,
+)
+from clprover.elementary import is_stable, is_stable_matched
+from clprover.formula import (
+    Atom, ChoAll, Constant, ELEMENTARY, FormulaError, GENERAL, LetterId,
+    ParAnd, ParOr, SubstitutionError, Variable, bound_variables, constants,
+    facts, free_variables, has_choice, has_general, is_elementary,
+    letter_names, letter_table, render_formula, replace_at, subformulas,
+    substitute_var, validate_formula,
+)
+from clprover.prover import (
+    MatchPair, ProverConfig, _Search, _forced_match_move, apply_move,
+    enumerate_moves, first_match_move, measure,
+)
+
+
+def assert_queries_match(f):
+    assert free_variables(f) == ref_free_variables(f)
+    assert bound_variables(f) == ref_bound_variables(f)
+    assert constants(f) == ref_constants(f)
+    assert has_choice(f) == ref_has_choice(f)
+    assert has_general(f) == ref_has_general(f)
+    assert is_elementary(f) == (not ref_has_choice(f) and not ref_has_general(f))
+    assert measure(f) == ref_measure(f)
+    try:
+        table = ref_letter_table(f)
+    except FormulaError as e:
+        for query in (letter_table, letter_names):
+            with pytest.raises(FormulaError, match=re.escape(str(e))):
+                query(f)
+        return
+    assert letter_table(f) == table
+    assert list(letter_table(f)) == list(table)  # first-occurrence order
+    assert letter_names(f) == {name for _, name in table}
+    assert [m for m in enumerate_moves(f, ProverConfig())
+            if isinstance(m, MatchPair)] == ref_match_moves(f)
+    assert first_match_move(f) == ref_first_match_move(f)
+    assert _forced_match_move(f) == ref_forced_match_move(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_queries_match_the_reference_walks(seed):
+    rng = random.Random(seed)
+    f = random_formula(rng, budget=rng.randint(1, 12))
+    assert_queries_match(f)
+    assert_queries_match(f)  # answered from the cache this time
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_queries_match_after_replace_at(seed):
+    rng = random.Random(seed)
+    f = random_formula(rng, budget=8)
+    g = random_formula(rng, budget=4)
+    facts(f), facts(g)  # derived states share these summarized subtrees
+    paths = [p for p, _ in subformulas(f)]
+    h = replace_at(f, rng.choice(paths), g)  # may clash: arities, binders
+    assert_queries_match(h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_queries_match_after_substitute_var(seed):
+    rng = random.Random(seed)
+    f = random_formula(rng, budget=8)
+    assert_queries_match(f)
+    term = rng.choice((Constant(rng.randint(0, 3)), Variable("y"), Variable("u0")))
+    try:
+        g = substitute_var(f, rng.choice(("x", "y", "u1")), term)
+    except SubstitutionError:
+        return
+    assert_queries_match(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_queries_match_after_apply_move(seed):
+    rng = random.Random(seed)
+    f = random_formula(rng, budget=rng.randint(4, 10))
+    for _ in range(4):
+        assert_queries_match(f)
+        moves = enumerate_moves(f, ProverConfig())
+        if not moves:
+            return
+        f = apply_move(f, rng.choice(moves))
+
+
+P = LetterId(ELEMENTARY, "p", 1)
+
+
+@pytest.mark.parametrize("broken", [
+    ParAnd((Atom(P, (Constant(0),)),
+            Atom(LetterId(ELEMENTARY, "p", 2), (Constant(0), Constant(1))))),
+    ParOr((Atom(P, (Variable("x"),)), ChoAll("x", Atom(P, (Variable("x"),))))),
+    ParOr((ChoAll("x", Atom(P, (Variable("x"),))),
+           ChoAll("x", Atom(P, (Variable("x"),))))),
+    ParOr((Atom(P, (Constant(0),)), Atom(LetterId(GENERAL, "p", 1), (Constant(1),)))),
+    ParAnd((Atom(P, (Constant(0),)),)),
+])
+def test_validate_raises_the_same_message_again(broken):
+    with pytest.raises(FormulaError) as first:
+        validate_formula(broken)
+    facts(broken)  # a summary exists now, but records no success
+    with pytest.raises(FormulaError) as second:
+        validate_formula(broken)
+    assert str(second.value) == str(first.value)
+
+
+def test_validate_records_a_success():
+    f = random_formula(random.Random(7), budget=8)
+    validate_formula(f)
+    assert facts(f).valid
+    validate_formula(f)
+
+
+def test_summary_takes_no_part_in_equality():
+    f = random_formula(random.Random(3), budget=8)
+    g = random_formula(random.Random(3), budget=8)
+    facts(f)
+    assert f == g and hash(f) == hash(g)
+    assert render_formula(f) == render_formula(g)
+
+
+_GEN = (("P", 0), ("Q", 1), ("R", 1))
+_ELEM = (("p", 0), ("q", 1))
+
+
+def random_choiceless(rng: random.Random, budget: int):
+    """A formula over /\\ and \\/ only, with general atoms from a small pool
+    so that letters often meet in both polarities."""
+    if budget <= 1:
+        name, arity = rng.choice(_GEN if rng.random() < 0.6 else _ELEM)
+        args = tuple(Constant(rng.randint(0, 1)) for _ in range(arity))
+        return Atom(LetterId.from_name(name, arity), args, rng.random() < 0.5)
+    left = rng.randint(1, budget - 1)
+    cls = rng.choice((ParAnd, ParOr, ParOr, ParOr))
+    return cls((random_choiceless(rng, left), random_choiceless(rng, budget - left)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_choiceless_verdict_matches_stability_after_matching(seed):
+    rng = random.Random(seed)
+    f = random_choiceless(rng, rng.randint(2, 9))
+    known, verdict = _Search(f, ProverConfig())._choiceless_verdict(
+        f, render_formula(f))
+    occurrences = [(a.letter.name, a.negated) for _, a in subformulas(f)
+                   if isinstance(a, Atom) and a.letter.sort == GENERAL]
+    assert known == (len(occurrences) == len(set(occurrences)))
+    if known:
+        assert verdict == is_stable(ref_match_all(f))
+        pairs = {n for n, neg in occurrences if neg} & {n for n, neg in occurrences if not neg}
+        assert is_stable_matched(f, pairs) == verdict
