@@ -277,7 +277,8 @@ def strategy_to_proof(q: Qbf, tree: StrategyNode) -> ProofNode:
 
 def _extract(node: ProofNode) -> _Dec:
     """Collect the term choices along each branch (they always fire outside
-    in) and where the proof wait-splits.  Matches carry no information."""
+    in) and where the proof wait-splits.  Matches carry no information.
+    The proof must have passed check_proof."""
     choices: list[int] = []
     cur = node
     while True:
@@ -288,13 +289,10 @@ def _extract(node: ProofNode) -> _Dec:
             if len(cur.premises) != 2:
                 raise BridgeError("proof is not over a reduced sentence: "
                                   "unexpected wait arity")
-            want = [render_formula(p) for p in wait_premises(cur.conclusion)]
-            got = [render_formula(p.conclusion) for p in cur.premises]
-            if sorted(want) != sorted(got) or len(want) != 2:
-                raise BridgeError("proof is not over a reduced sentence: "
-                                  "unexpected wait premises")
+            # check_proof has matched the premises against the required
+            # set already; only their order is left to read
             lo, hi = cur.premises
-            if got[0] != want[0]:
+            if lo.conclusion != wait_premises(cur.conclusion)[0]:
                 lo, hi = hi, lo
             return _Dec(choices, (_extract(lo), _extract(hi)))
         if isinstance(rule, ChooseTerm):

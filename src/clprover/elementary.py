@@ -17,6 +17,12 @@ it, and F never helps.  A conjunctive disjunct is split by distributivity:
 D \\/ (c1 /\\ ... /\\ ck) is valid exactly when every D \\/ ci is.  Each split
 removes one conjunction, so the check ends, and at the end only literals
 remain, where the test above is exact.
+
+Stability is read off the formula itself, with no elementarized copy: the
+check counts a surface choice conjunction or choice-all quantifier as T and
+skips a choice disjunction, a choice-ex quantifier and a general literal as
+it skips F.  elementarize builds the copy all the same; it is the reference
+definition that the tests hold the check to.
 """
 
 from __future__ import annotations
@@ -32,20 +38,14 @@ class NotElementaryError(FormulaError):
 
 
 def elementarize(f: Formula) -> Formula:
-    return _elementarize(f, frozenset())
-
-
-def _elementarize(f: Formula, keep) -> Formula:
-    """elementarize, except that general atoms whose letter name is in keep
-    stay as they are."""
     if isinstance(f, (Top, Bot)):
         return f
     if isinstance(f, Atom):
-        return BOT if f.letter.sort == GENERAL and f.letter.name not in keep else f
+        return BOT if f.letter.sort == GENERAL else f
     if isinstance(f, ParAnd):
-        return ParAnd(tuple(_elementarize(o, keep) for o in f.operands))
+        return ParAnd(tuple(elementarize(o) for o in f.operands))
     if isinstance(f, ParOr):
-        return ParOr(tuple(_elementarize(o, keep) for o in f.operands))
+        return ParOr(tuple(elementarize(o) for o in f.operands))
     if isinstance(f, (ChoAnd, ChoAll)):
         return TOP
     if isinstance(f, (ChoOr, ChoEx)):
@@ -58,20 +58,6 @@ def atom_key(a: Atom) -> tuple:
     literal argument tuple.  Distinct terms give distinct keys."""
     return (a.letter.name,) + tuple(
         (t.name if isinstance(t, Variable) else t.value) for t in a.args)
-
-
-def atom_keys(f: Formula) -> set[tuple]:
-    keys = set()
-
-    def walk(node):
-        if isinstance(node, Atom):
-            keys.add(atom_key(node))
-        elif isinstance(node, (ParAnd, ParOr)):
-            for o in node.operands:
-                walk(o)
-
-    walk(f)
-    return keys
 
 
 def evaluate(f: Formula, assignment: dict) -> bool:
@@ -91,10 +77,11 @@ def evaluate(f: Formula, assignment: dict) -> bool:
     raise NotElementaryError(f"not an elementary formula: {f!r}")
 
 
-def _valid(pending: list, lits: set) -> bool:
-    """Classical validity of the disjunction of the elementary formulas in
-    `pending` and the (atom_key, negated) literals in `lits`.  Neither
-    argument is modified."""
+def _valid(pending: list, lits: set, keep=frozenset()) -> bool:
+    """Classical validity of the disjunction of the elementarizations of the
+    formulas in `pending` and the (atom_key, negated) literals in `lits`,
+    where general atoms whose letter name is in keep count as literals.
+    Neither argument is modified."""
     pending = list(pending)
     lits = set(lits)
     rest = []
@@ -104,11 +91,13 @@ def _valid(pending: list, lits: set) -> bool:
         if isinstance(f, ParOr):
             pending.extend(f.operands)
         elif isinstance(f, Atom):
+            if f.letter.sort == GENERAL and f.letter.name not in keep:
+                continue
             key = atom_key(f)
             if (key, not f.negated) in lits:
                 return True
             lits.add((key, f.negated))
-        elif isinstance(f, Top):
+        elif isinstance(f, (Top, ChoAnd, ChoAll)):
             return True
         elif isinstance(f, ParAnd):
             if conj is None:
@@ -118,7 +107,7 @@ def _valid(pending: list, lits: set) -> bool:
     if conj is None:
         return False
     # D \/ (c1 /\ ... /\ ck) is valid exactly when every D \/ ci is.
-    return all(_valid(rest + [c], lits) for c in conj.operands)
+    return all(_valid(rest + [c], lits, keep) for c in conj.operands)
 
 
 def is_valid_classical(f: Formula) -> bool:
@@ -129,9 +118,7 @@ def is_valid_classical(f: Formula) -> bool:
 
 
 def is_stable(f: Formula) -> bool:
-    # elementarize always returns an elementary formula, so the guard of
-    # is_valid_classical would only walk the tree again.
-    return _valid([elementarize(f)], set())
+    return _valid([f], set())
 
 
 def is_stable_matched(f: Formula, letters) -> bool:
@@ -143,4 +130,4 @@ def is_stable_matched(f: Formula, letters) -> bool:
     Keeping the general atoms themselves as literals decides the same
     thing: their upper-case names never meet an elementary atom_key.
     """
-    return _valid([_elementarize(f, letters)], set())
+    return _valid([f], set(), letters)

@@ -228,11 +228,6 @@ def surface_occurrences(f: Formula, types=None) -> list[tuple[Path, Formula]]:
     return out
 
 
-def surface_general_atoms(f: Formula) -> list[tuple[Path, Atom]]:
-    return [(p, n) for p, n in surface_occurrences(f, Atom)
-            if n.letter.sort == GENERAL]
-
-
 # ---------------------------------------------------------------------------
 # queries
 

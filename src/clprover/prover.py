@@ -12,7 +12,9 @@ goals.
 Search runs in two passes over the same rule order: a memoized verdict pass,
 then proof construction that takes the first rule the verdict pass accepts.
 The proof that comes out is exactly the one a naive first-success
-depth-first search over the rule order would find.
+depth-first search over the rule order would find.  Each state the two
+passes expand is walked through its surface once: the _SurfaceIndex built
+there is handed to every rule that reads the surface.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from .formula import (
     GENERAL, ELEMENTARY, LetterId, ParAnd, ParOr, Path, Term, Variable,
     bound_variables, constants, facts, free_variables, has_choice,
     has_general, is_letter_name, is_variable_name, letter_names, parse_formula,
-    render_formula, replace_at, substitute_var,
-    surface_general_atoms, surface_occurrences, validate_formula,
+    render_formula, replace_at, substitute_var, validate_formula,
 )
 
 
@@ -155,25 +156,50 @@ def fresh_match_letter(f: Formula, letter: LetterId) -> LetterId:
 # ---------------------------------------------------------------------------
 # rule machinery
 
-def wait_premises(f: Formula) -> list[Formula]:
+class _SurfaceIndex:
+    """The surface of a formula, read by one pre-order walk through the
+    parallel connectives.  choices holds the choice occurrences with their
+    paths; they never nest, since the walk stops at each.  letters holds,
+    for each general letter in first-occurrence order, the letter with the
+    paths of its positive and of its negative atoms."""
+
+    __slots__ = ("choices", "letters")
+
+    def __init__(self, f: Formula):
+        self.choices: list[tuple[Path, Formula]] = []
+        letters: dict[str, tuple[LetterId, list[Path], list[Path]]] = {}
+        stack: list[tuple[Path, Formula]] = [((), f)]
+        while stack:
+            path, node = stack.pop()
+            if isinstance(node, (ParAnd, ParOr)):
+                ops = node.operands
+                for i in range(len(ops) - 1, -1, -1):
+                    stack.append((path + (i,), ops[i]))
+            elif isinstance(node, (ChoAnd, ChoOr, ChoAll, ChoEx)):
+                self.choices.append((path, node))
+            elif isinstance(node, Atom) and node.letter.sort == GENERAL:
+                entry = letters.setdefault(node.letter.name, (node.letter, [], []))
+                entry[2 if node.negated else 1].append(path)
+        self.letters = list(letters.values())
+
+
+def wait_premises(f: Formula, index: Optional[_SurfaceIndex] = None
+                  ) -> list[Formula]:
     """Premises the wait rule requires for f, deduplicated, in pre-order of
-    the surface choice occurrences they resolve."""
+    the surface choice occurrences they resolve.  Surface choice occurrences
+    never nest, so only equal operands of one cand give equal premises."""
     prems: list[Formula] = []
-    seen: set[str] = set()
-
-    def add(g: Formula) -> None:
-        key = render_formula(g)
-        if key not in seen:
-            seen.add(key)
-            prems.append(g)
-
-    for path, node in surface_occurrences(f, (ChoAnd, ChoAll)):
+    for path, node in (index or _SurfaceIndex(f)).choices:
         if isinstance(node, ChoAnd):
+            seen: set[str] = set()
             for op in node.operands:
-                add(replace_at(f, path, op))
-        else:
+                key = render_formula(op)
+                if key not in seen:
+                    seen.add(key)
+                    prems.append(replace_at(f, path, op))
+        elif isinstance(node, ChoAll):
             w = Variable(fresh_wait_variable(f))
-            add(replace_at(f, path, substitute_var(node.body, node.var, w)))
+            prems.append(replace_at(f, path, substitute_var(node.body, node.var, w)))
     return prems
 
 
@@ -264,61 +290,44 @@ def _var_key(name: str) -> tuple[str, int]:
     return (head, int(name[1:]) if len(name) > 1 else -1)
 
 
-def enumerate_moves(f: Formula, config: ProverConfig) -> list[Move]:
+def enumerate_moves(f: Formula, config: ProverConfig,
+                    index: Optional[_SurfaceIndex] = None) -> list[Move]:
     """All applicable moves in the search order: choose-disjunct by
     occurrence then index, choose-term by occurrence then pool order, then
     (cl4 only) match by letter first-occurrence order and occurrence pairs."""
+    index = index or _SurfaceIndex(f)
     moves: list[Move] = []
-    for path, node in surface_occurrences(f, ChoOr):
-        moves.extend(ChooseDisjunct(path, i) for i in range(len(node.operands)))
-    exs = surface_occurrences(f, ChoEx)
+    for path, node in index.choices:
+        if isinstance(node, ChoOr):
+            moves.extend(ChooseDisjunct(path, i) for i in range(len(node.operands)))
+    exs = [path for path, node in index.choices if isinstance(node, ChoEx)]
     if exs:
         pool = term_pool(f, config.term_pool)
-        for path, _ in exs:
+        for path in exs:
             moves.extend(ChooseTerm(path, t) for t in pool)
     if config.logic is Logic.CL4:
-        for letter, pp, np in _matchable(f):
-            fresh = fresh_match_letter(f, letter)
-            moves.extend(MatchPair(p, n, fresh) for p in pp for n in np)
+        for letter, pp, np in index.letters:
+            if pp and np:
+                fresh = fresh_match_letter(f, letter)
+                moves.extend(MatchPair(p, n, fresh) for p in pp for n in np)
     return moves
 
 
 # ---------------------------------------------------------------------------
 # search
 
-def _surface_index(f: Formula) -> tuple[list[LetterId], dict[str, list[Path]],
-                                         dict[str, list[Path]]]:
-    """The general letters of f's surface atoms in first-occurrence order,
-    with the paths of their positive and of their negative occurrences."""
-    order: list[LetterId] = []
-    pos: dict[str, list[Path]] = {}
-    neg: dict[str, list[Path]] = {}
-    for path, a in surface_general_atoms(f):
-        name = a.letter.name
-        if name not in pos and name not in neg:
-            order.append(a.letter)
-        (neg if a.negated else pos).setdefault(name, []).append(path)
-    return order, pos, neg
-
-
-def _matchable(f: Formula) -> list[tuple[LetterId, list[Path], list[Path]]]:
-    """(letter, positive paths, negative paths) for each general letter with
-    surface occurrences of both polarities, in first-occurrence order."""
-    order, pos, neg = _surface_index(f)
-    return [(L, pos[L.name], neg[L.name]) for L in order
-            if L.name in pos and L.name in neg]
-
-
 def first_match_move(f: Formula) -> Optional[MatchPair]:
     """The canonical next match: the first letter (in surface occurrence
     order) with both polarities present, pairing its first positive and
     first negative occurrence.  None when nothing is matchable."""
-    for letter, pp, np in _matchable(f):
-        return MatchPair(pp[0], np[0], fresh_match_letter(f, letter))
+    for letter, pp, np in _SurfaceIndex(f).letters:
+        if pp and np:
+            return MatchPair(pp[0], np[0], fresh_match_letter(f, letter))
     return None
 
 
-def _forced_match_move(f: Formula) -> Optional[MatchPair]:
+def _forced_match_move(f: Formula, index: Optional[_SurfaceIndex] = None
+                       ) -> Optional[MatchPair]:
     """A match both of whose atoms are their letter's only occurrences in f.
 
     Matching such a pair right away never loses a proof: the two atoms sit
@@ -333,8 +342,8 @@ def _forced_match_move(f: Formula) -> Optional[MatchPair]:
         return None
     total = {lid.name: n for lid, n in zip(s.letters, s.counts)
              if lid.sort == GENERAL}
-    for letter, pp, np in _matchable(f):
-        if total[letter.name] == 2:
+    for letter, pp, np in (index or _SurfaceIndex(f)).letters:
+        if pp and np and total[letter.name] == 2:
             return MatchPair(pp[0], np[0], fresh_match_letter(f, letter))
     return None
 
@@ -372,23 +381,26 @@ class _Search:
 
     def _decide_state(self, f: Formula, key: str, depth: int) -> bool:
         self.stats.states += 1
+        index = _SurfaceIndex(f)
         if not has_choice(f):
-            known, verdict = self._choiceless_verdict(f, key)
+            known, verdict = self._choiceless_verdict(f, key, index)
             if known:
                 self.stats.shortcut_states += 1
                 return verdict
         if self.config.logic is Logic.CL4:
-            forced = _forced_match_move(f)
+            forced = _forced_match_move(f, index)
             if forced is not None:
                 self.stats.forced_matches += 1
                 return self.decide(apply_move(f, forced), depth + 1)
         if self._stable(f, key) and \
-                all(self.decide(p, depth + 1) for p in wait_premises(f)):
+                all(self.decide(p, depth + 1) for p in wait_premises(f, index)):
             return True
         return any(self.decide(apply_move(f, m), depth + 1)
-                   for m in enumerate_moves(f, self.config))
+                   for m in enumerate_moves(f, self.config, index))
 
-    def _choiceless_verdict(self, f: Formula, key: str) -> tuple[bool, bool]:
+    def _choiceless_verdict(self, f: Formula, key: str,
+                            index: Optional[_SurfaceIndex] = None
+                            ) -> tuple[bool, bool]:
         # A choiceless formula whose general letters each have at most one
         # occurrence per polarity is provable exactly when matching every
         # positive/negative pair leaves a stable formula: every position is
@@ -396,20 +408,22 @@ class _Search:
         # the match rule the verdict is plain stability.
         if self.config.logic is Logic.CL3:
             return True, self._stable(f, key)
-        _, pos, neg = _surface_index(f)
-        if any(len(paths) > 1 for paths in (*pos.values(), *neg.values())):
+        letters = (index or _SurfaceIndex(f)).letters
+        if any(len(pp) > 1 or len(np) > 1 for _, pp, np in letters):
             return False, False
         self.stats.stable_checks += 1
-        return True, is_stable_matched(f, pos.keys() & neg.keys())
+        pairs = {L.name for L, pp, np in letters if pp and np}
+        return True, is_stable_matched(f, pairs)
 
     def build(self, f: Formula, depth: int) -> ProofNode:
         key = render_formula(f)
+        index = _SurfaceIndex(f)
         if self._stable(f, key):
-            prems = wait_premises(f)
+            prems = wait_premises(f, index)
             if all(self.decide(p, depth + 1) for p in prems):
                 return ProofNode(f, WAIT,
                                  tuple(self.build(p, depth + 1) for p in prems))
-        for m in enumerate_moves(f, self.config):
+        for m in enumerate_moves(f, self.config, index):
             g = apply_move(f, m)
             if self.decide(g, depth + 1):
                 return ProofNode(f, m, (self.build(g, depth + 1),))

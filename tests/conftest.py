@@ -15,10 +15,12 @@ import random
 from clprover.formula import (
     Atom, Bot, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, Formula, FormulaError,
     LetterId, ParAnd, ParOr, Top, Variable, BOT, ELEMENTARY, GENERAL, TOP,
-    children, replace_at, subformulas, substitute_var, surface_general_atoms,
-    surface_occurrences, validate_formula, with_children,
+    children, render_formula, replace_at, subformulas, substitute_var,
+    validate_formula, with_children,
 )
-from clprover.prover import Logic, MatchPair, apply_move, fresh_match_letter
+from clprover.prover import (
+    Logic, MatchPair, apply_move, fresh_match_letter, fresh_wait_variable,
+)
 from clprover.qbf import EXISTS, Qbf, StrategyNode
 
 
@@ -81,6 +83,29 @@ def oracle_stable(f: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the surface, by a walk of its own
+
+def ref_surface(f: Formula, types=object) -> list[tuple]:
+    """(path, node) for every surface occurrence of one of types, in
+    pre-order: the walk descends through /\\ and \\/ only."""
+    out = []
+
+    def walk(g, path):
+        if isinstance(g, types):
+            out.append((path, g))
+        if isinstance(g, (ParAnd, ParOr)):
+            for i, kid in enumerate(g.operands):
+                walk(kid, path + (i,))
+
+    walk(f, ())
+    return out
+
+
+def ref_surface_general_atoms(f: Formula) -> list[tuple]:
+    return [(p, a) for p, a in ref_surface(f, Atom) if a.letter.sort == GENERAL]
+
+
+# ---------------------------------------------------------------------------
 # naive provability: every rule, every option, no memoization, no shortcuts
 
 def _oracle_fresh_var(f: Formula) -> str:
@@ -123,7 +148,7 @@ def _oracle_fresh_letter(f: Formula, arity: int) -> LetterId:
 
 def _oracle_wait_premises(f: Formula) -> list[Formula]:
     prems = []
-    for path, occ in surface_occurrences(f, (ChoAnd, ChoAll)):
+    for path, occ in ref_surface(f, (ChoAnd, ChoAll)):
         if isinstance(occ, ChoAnd):
             prems.extend(replace_at(f, path, op) for op in occ.operands)
         else:
@@ -148,14 +173,13 @@ def _oracle_term_choices(f: Formula) -> list:
 def _oracle_moves(f: Formula, logic: Logic) -> list[Formula]:
     """Every conclusion-to-premise step other than the waiting one."""
     out = []
-    for path, occ in surface_occurrences(f, (ChoOr,)):
+    for path, occ in ref_surface(f, ChoOr):
         out.extend(replace_at(f, path, op) for op in occ.operands)
-    for path, occ in surface_occurrences(f, (ChoEx,)):
+    for path, occ in ref_surface(f, ChoEx):
         for t in _oracle_term_choices(f):
             out.append(replace_at(f, path, substitute_var(occ.body, occ.var, t)))
     if logic is Logic.CL4:
-        gens = [(p, a) for p, a in surface_occurrences(f, (Atom,))
-                if a.letter.sort == GENERAL]
+        gens = ref_surface_general_atoms(f)
         for (pp, pa), (np_, na) in itertools.product(gens, gens):
             if pa.negated or not na.negated or pa.letter != na.letter:
                 continue
@@ -239,7 +263,7 @@ def ref_match_moves(f: Formula) -> list[MatchPair]:
     neg: dict[str, list] = {}
     order: list[LetterId] = []
     seen: set[str] = set()
-    for path, a in surface_general_atoms(f):
+    for path, a in ref_surface_general_atoms(f):
         if a.letter.name not in seen:
             seen.add(a.letter.name)
             order.append(a.letter)
@@ -262,7 +286,7 @@ def ref_forced_match_move(f: Formula):
     pos: dict[str, tuple] = {}
     neg: dict[str, tuple] = {}
     order: list[LetterId] = []
-    for path, a in surface_general_atoms(f):
+    for path, a in ref_surface_general_atoms(f):
         if a.letter.name not in pos and a.letter.name not in neg:
             order.append(a.letter)
         (neg if a.negated else pos).setdefault(a.letter.name, path)
@@ -277,7 +301,7 @@ def ref_first_match_move(f: Formula):
     pos: dict[str, tuple] = {}
     neg: dict[str, tuple] = {}
     order: list[LetterId] = []
-    for path, a in surface_general_atoms(f):
+    for path, a in ref_surface_general_atoms(f):
         if a.letter.name not in pos and a.letter.name not in neg:
             order.append(a.letter)
         (neg if a.negated else pos).setdefault(a.letter.name, path)
@@ -295,6 +319,27 @@ def ref_match_all(f: Formula) -> Formula:
         f = apply_move(f, move)
         move = ref_first_match_move(f)
     return f
+
+
+def ref_wait_premises(f: Formula) -> list[Formula]:
+    """The wait premises of f, deduplicated by rendering each whole premise."""
+    prems: list[Formula] = []
+    seen: set[str] = set()
+
+    def add(g: Formula) -> None:
+        key = render_formula(g)
+        if key not in seen:
+            seen.add(key)
+            prems.append(g)
+
+    for path, node in ref_surface(f, (ChoAnd, ChoAll)):
+        if isinstance(node, ChoAnd):
+            for op in node.operands:
+                add(replace_at(f, path, op))
+        else:
+            w = Variable(fresh_wait_variable(f))
+            add(replace_at(f, path, substitute_var(node.body, node.var, w)))
+    return prems
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ import time
 import pytest
 
 from conftest import (
-    equal_mod_general_letters, flatten_parallel, random_formula, tt_valid,
+    equal_mod_general_letters, flatten_parallel, random_formula,
+    tt_atom_keys, tt_valid,
 )
 from clprover.bridge import canonicalize_proof, proof_to_strategy, strategy_to_proof
 from clprover.cli import bench_run
-from clprover.elementary import (
-    atom_keys, elementarize, is_stable, is_valid_classical,
-)
+from clprover.elementary import elementarize, is_stable, is_valid_classical
 from clprover.formula import (
     Atom, Constant, ELEMENTARY, LetterId, ParAnd, ParOr, Variable,
     letter_names, parse_formula,
@@ -259,7 +258,7 @@ def test_criterion_9_classical_validity_against_truth_tables(corpus1, bench1):
 
     def collect(f):
         el = elementarize(f)
-        if len(atom_keys(el)) <= 12 and el not in seen:
+        if len(tt_atom_keys(el)) <= 12 and el not in seen:
             seen.add(el)
             pool.append(el)
 

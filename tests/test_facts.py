@@ -1,8 +1,9 @@
-"""The cached whole-formula summaries against the walks they replaced.
+"""The cached whole-formula summaries and the surface index against the
+walks they replaced.
 
-Every query that reads Facts must answer exactly what its reference walk in
-conftest.py answers, on random formulas and on the states the search and
-the substitution derive from them.
+Every query that reads Facts or a _SurfaceIndex must answer exactly what its
+reference walk in conftest.py answers, on random formulas and on the states
+the search and the substitution derive from them.
 """
 
 import random
@@ -14,23 +15,47 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     random_formula, ref_bound_variables, ref_constants, ref_first_match_move,
     ref_forced_match_move, ref_free_variables, ref_has_choice, ref_has_general,
-    ref_letter_table, ref_match_all, ref_match_moves, ref_measure,
+    ref_letter_table, ref_match_all, ref_match_moves, ref_measure, ref_surface,
+    ref_surface_general_atoms, ref_wait_premises,
 )
 from clprover.elementary import is_stable, is_stable_matched
 from clprover.formula import (
-    Atom, ChoAll, Constant, ELEMENTARY, FormulaError, GENERAL, LetterId,
-    ParAnd, ParOr, SubstitutionError, Variable, bound_variables, constants,
-    facts, free_variables, has_choice, has_general, is_elementary,
-    letter_names, letter_table, render_formula, replace_at, subformulas,
-    substitute_var, validate_formula,
+    Atom, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, ELEMENTARY, FormulaError,
+    GENERAL, LetterId, ParAnd, ParOr, SubstitutionError, Variable,
+    bound_variables, constants, facts, free_variables, has_choice,
+    has_general, is_elementary, letter_names, letter_table, parse_formula,
+    render_formula, replace_at, subformulas, substitute_var, validate_formula,
 )
 from clprover.prover import (
-    MatchPair, ProverConfig, _Search, _forced_match_move, apply_move,
-    enumerate_moves, first_match_move, measure,
+    MatchPair, ProverConfig, _Search, _SurfaceIndex, _forced_match_move,
+    apply_move, enumerate_moves, first_match_move, measure, wait_premises,
 )
+
+
+def assert_surface_matches(f):
+    index = _SurfaceIndex(f)
+    assert index.choices == ref_surface(f, (ChoAnd, ChoOr, ChoAll, ChoEx))
+    gens = ref_surface_general_atoms(f)
+    letters = []
+    for _, a in gens:
+        if a.letter.name not in [L.name for L in letters]:
+            letters.append(a.letter)
+    assert [L for L, _, _ in index.letters] == letters
+    for L, pos, neg in index.letters:
+        assert pos == [p for p, a in gens if a.letter.name == L.name and not a.negated]
+        assert neg == [p for p, a in gens if a.letter.name == L.name and a.negated]
+    try:
+        want = ref_wait_premises(f)
+    except SubstitutionError as e:  # replace_at nested a binder in its namesake
+        with pytest.raises(SubstitutionError, match=re.escape(str(e))):
+            wait_premises(f, index)
+        return
+    assert wait_premises(f) == want
+    assert wait_premises(f, index) == want
 
 
 def assert_queries_match(f):
+    assert_surface_matches(f)
     assert free_variables(f) == ref_free_variables(f)
     assert bound_variables(f) == ref_bound_variables(f)
     assert constants(f) == ref_constants(f)
@@ -102,6 +127,21 @@ def test_queries_match_after_apply_move(seed):
         f = apply_move(f, rng.choice(moves))
 
 
+@pytest.mark.parametrize("text, premises", [
+    ("p cand q cand p", ["p", "q"]),
+    ("r \\/ (p cand q cand p) \\/ ((s cand s) /\\ call x: P(x))",
+     ["r \\/ p \\/ ((s cand s) /\\ call x: P(x))",
+      "r \\/ q \\/ ((s cand s) /\\ call x: P(x))",
+      "r \\/ (p cand q cand p) \\/ (s /\\ call x: P(x))",
+      "r \\/ (p cand q cand p) \\/ ((s cand s) /\\ P(w0))"]),
+])
+def test_wait_premises_keep_the_first_of_repeated_operands(text, premises):
+    # the repeated p operands are not adjacent
+    f = parse_formula(text)
+    assert_surface_matches(f)
+    assert wait_premises(f) == [parse_formula(p) for p in premises]
+
+
 P = LetterId(ELEMENTARY, "p", 1)
 
 
@@ -160,7 +200,7 @@ def test_choiceless_verdict_matches_stability_after_matching(seed):
     rng = random.Random(seed)
     f = random_choiceless(rng, rng.randint(2, 9))
     known, verdict = _Search(f, ProverConfig())._choiceless_verdict(
-        f, render_formula(f))
+        f, render_formula(f), _SurfaceIndex(f))
     occurrences = [(a.letter.name, a.negated) for _, a in subformulas(f)
                    if isinstance(a, Atom) and a.letter.sort == GENERAL]
     assert known == (len(occurrences) == len(set(occurrences)))

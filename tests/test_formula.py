@@ -3,13 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_formula
+from conftest import random_formula, ref_surface_general_atoms
 from clprover.formula import (
     Atom, BOT, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, ELEMENTARY, FormulaError,
     GENERAL, LetterId, ParAnd, ParOr, ParseError, PathError, SubstitutionError,
     TOP, Variable, children, free_variables, bound_variables, is_elementary,
     letter_table, parse_formula, render_formula, replace_at, resolve_path,
-    subformulas, substitute_var, surface_general_atoms, surface_occurrences,
+    subformulas, substitute_var, surface_occurrences,
     validate_formula,
 )
 
@@ -109,7 +109,8 @@ def test_surface_occurrences_examples():
 
     h = ParOr((Atom(LetterId(GENERAL, "P", 1), (Constant(0),)),
                Atom(LetterId(GENERAL, "P", 1), (Constant(1),), negated=True)))
-    negs = [(path, a) for path, a in surface_general_atoms(h) if a.negated]
+    assert surface_occurrences(h, Atom) == ref_surface_general_atoms(h)
+    negs = [(path, a) for path, a in ref_surface_general_atoms(h) if a.negated]
     assert negs == [((1,), h.operands[1])]
 
 

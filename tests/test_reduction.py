@@ -1,10 +1,12 @@
 import pytest
 
-from conftest import equal_mod_general_letters, table_qbf_value
+from conftest import (
+    equal_mod_general_letters, ref_surface_general_atoms, table_qbf_value,
+)
 from clprover.elementary import is_stable
 from clprover.formula import (
     Atom, GENERAL, LetterId, parse_formula, render_formula, letter_table,
-    subformulas, surface_general_atoms,
+    subformulas,
 )
 from clprover.prover import Logic, ProverConfig, prove
 from clprover.qbf import exhaustive_unary_corpus, parse_qbf, random_corpus, render_qbf
@@ -133,4 +135,4 @@ def test_gadget_images_are_stable_until_the_choices_start():
     # when a surface choice quantifier waits at the top
     f = reduce_to_cl4(WORKED_PHI)
     assert not is_stable(f)
-    assert surface_general_atoms(f) == []
+    assert ref_surface_general_atoms(f) == []
