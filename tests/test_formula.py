@@ -72,20 +72,55 @@ def test_parse_render_round_trip(seed):
     assert parse_formula(render_formula(f)) == f
 
 
-@pytest.mark.parametrize("text", [
-    "p cor q \\/ r",          # choice and parallel disjunction mixed
-    "p cand q /\\ r",
-    "p \\/",
-    "call x p(x)",            # missing colon
-    "~T",                     # negation is for atoms only
-    "~(p \\/ q)",
-    "p(01)",                  # leading zero
-    "p()",
-    "cex T: p",
-])
+# every parse error, with its exact message and position
+_PARSE_ERRORS = {
+    # chains mix choice and parallel connectives of one level
+    "p cor q \\/ r":
+        "cannot mix '\\\\/' into this chain without parentheses at position 8",
+    "p cand q /\\ r":
+        "cannot mix '/\\\\' into this chain without parentheses at position 9",
+    "p \\/ q cor r":
+        "cannot mix 'cor' into this chain without parentheses at position 7",
+    "p /\\ q cand r":
+        "cannot mix 'cand' into this chain without parentheses at position 7",
+    # a missing operand, variable, colon or closing parenthesis
+    "p \\/": "expected a formula, found 'end of input' at position 4",
+    "": "expected a formula, found 'end of input' at position 0",
+    "call x p(x)": "expected colon, found 'p' at position 7",
+    "call : p": "expected var, found ':' at position 5",
+    "cex T: p": "expected var, found 'T' at position 4",
+    "(p \\/ q": "expected rpar, found 'end of input' at position 7",
+    "p()": "expected a term, found ')' at position 2",
+    "p(x,)": "expected a term, found ')' at position 4",
+    # negation is for atoms only
+    "~T": "negation applies only to atoms at position 1",
+    "~(p \\/ q)": "negation applies only to atoms at position 1",
+    "~ call x: p": "negation applies only to atoms at position 2",
+    "¬⊥": "negation applies only to atoms at position 1",
+    # bad characters, constants and atoms
+    "p $ q": "unexpected character '$' at position 2",
+    "p(01)": "leading zero in constant at position 2",
+    "p(x, 007)": "leading zero in constant at position 5",
+    "x \\/ p": "variable 'x' cannot be used as an atom at position 0",
+    # trailing input at top level, inside parentheses, inside a quantifier
+    "p q": "expected eof, found 'q' at position 2",
+    "(p \\/ q) r": "expected eof, found 'r' at position 9",
+    "(p q)": "expected rpar, found 'q' at position 3",
+    "call x: p(x) q": "expected eof, found 'q' at position 13",
+    "(call x: p(x) q)": "expected rpar, found 'q' at position 14",
+    "cex x: (p)(": "expected eof, found '(' at position 10",
+    # ⊓ before "x:" opens a quantifier; elsewhere it is the operator
+    "⊓x:": "expected a formula, found 'end of input' at position 3",
+    "p ⊓ x: q": "variable 'x' cannot be used as an atom at position 4",
+}
+
+
+@pytest.mark.parametrize("text", list(_PARSE_ERRORS))
 def test_parse_rejects(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         parse_formula(text)
+    assert type(info.value) is ParseError
+    assert str(info.value) == _PARSE_ERRORS[text]
 
 
 @pytest.mark.parametrize("text", [
