@@ -166,13 +166,15 @@ def _analyze(f: Formula) -> _Shape:
     if pick is not None:
         return _Shape(ShapeClass.PICKED_GADGET, quant_path=path + (1,),
                       letter=pick[0], const=pick[1])
-    if is_elementary(cur):
-        return _Shape(ShapeClass.ELEMENTARY_LEAF)
-    return _Shape(ShapeClass.OTHER)
+    return _Shape(ShapeClass.OTHER)  # the endgame, elementary or not
 
 
 def classify_shape(f: Formula) -> ShapeClass:
-    return _analyze(f).cls
+    cls = _analyze(f).cls
+    # the wrappers are elementary, so f is elementary exactly when its core is
+    if cls is ShapeClass.OTHER and is_elementary(f):
+        return ShapeClass.ELEMENTARY_LEAF
+    return cls
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,7 @@ def cmd_prove(args) -> int:
 def cmd_check(args) -> int:
     with open(args.proof, encoding="utf-8") as fp:
         proof = proof_from_json(fp.read())
-    config = _config(args)
-    res = check_proof(proof, config)
+    res = check_proof(proof, ProverConfig(logic=Logic(args.logic)))
     if args.json:
         print(json.dumps({"ok": res.ok, "diagnostics": res.diagnostics},
                          ensure_ascii=False, indent=2))
@@ -365,12 +364,8 @@ def _add_qbf_source(p):
                    help="normalize the sentence shape instead of rejecting it")
 
 
-def _add_prover_flags(p):
+def _add_logic_flag(p):
     p.add_argument("--logic", choices=[l.value for l in Logic], default="cl4")
-    p.add_argument("--term-pool", choices=[t.value for t in TermPool],
-                   default=TermPool.OCCURRING_PLUS_FRESH.value)
-    p.add_argument("--no-memo", action="store_true")
-    p.add_argument("--depth-limit", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,14 +377,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="search for a proof")
     _add_formula_source(p)
-    _add_prover_flags(p)
+    _add_logic_flag(p)
+    p.add_argument("--term-pool", choices=[t.value for t in TermPool],
+                   default=TermPool.OCCURRING_PLUS_FRESH.value)
+    p.add_argument("--no-memo", action="store_true")
+    p.add_argument("--depth-limit", type=int, default=None)
     p.add_argument("--proof-out", dest="out", help="write the proof JSON here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_prove)
 
     p = sub.add_parser("check", help="check a proof JSON file")
     p.add_argument("--proof", required=True)
-    _add_prover_flags(p)
+    _add_logic_flag(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_check)
 

@@ -490,8 +490,8 @@ def render_formula(f: Formula) -> str:
 # parsing
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<paror>\\/|∨)
+    r"""\s*(?:
+        (?P<paror>\\/|∨)
       | (?P<parand>/\\|∧)
       | (?P<choor>⊔)
       | (?P<choand>⊓)
@@ -504,161 +504,134 @@ _TOKEN_RE = re.compile(
       | (?P<comma>,)
       | (?P<nat>[0-9]+)
       | (?P<word>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<eof>\Z)
+      | (?P<bad>.))
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _WORD_TOKENS = {"cand": "choand", "cor": "choor", "call": "call", "cex": "cex",
                 "T": "top", "F": "bot"}
+_CHAIN_LEVEL = {"parand": 2, "choand": 2, "paror": 1, "choor": 1}
+_CHAIN_CLS = {"parand": ParAnd, "choand": ChoAnd, "paror": ParOr, "choor": ChoOr}
+_QUANT_CLS = {"call": ChoAll, "cex": ChoEx, "choand": ChoAll, "choor": ChoEx}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
+    for m in _TOKEN_RE.finditer(text):  # the last match is the empty eof
         kind = m.lastgroup
-        value = m.group()
+        value, pos = m.group(kind), m.start(kind)
         if kind == "word":
             kind = _WORD_TOKENS.get(value, "var" if is_variable_name(value) else "letter")
-        if kind != "ws":
-            tokens.append((kind, value, pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {value!r} at position {pos}")
+        tokens.append((kind, value, pos))
+    # enough end tokens that looking two past any token stays in the list
+    tokens += tokens[-1:] * 2
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
-
-    def take(self, kind: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r} "
-                             f"at position {tok[2]}")
-        self.i += 1
-        return tok
-
-    def formula(self) -> Formula:
-        return self.disjunction()
-
-    def disjunction(self) -> Formula:
-        first = self.conjunction()
-        kind = self.peek()[0]
-        if kind not in ("paror", "choor"):
-            return first
-        ops = [first]
-        while True:
-            nxt = self.peek()[0]
-            if nxt == kind:
-                self.i += 1
-                ops.append(self.conjunction())
-            elif nxt in ("paror", "choor"):
-                tok = self.peek()
-                raise ParseError(f"cannot mix {tok[1]!r} into this chain without "
-                                 f"parentheses at position {tok[2]}")
-            else:
-                break
-        cls = ParOr if kind == "paror" else ChoOr
-        return cls(tuple(ops))
-
-    def conjunction(self) -> Formula:
-        first = self.unit()
-        kind = self.peek()[0]
-        if kind not in ("parand", "choand"):
-            return first
-        ops = [first]
-        while True:
-            nxt = self.peek()[0]
-            if nxt == kind:
-                self.i += 1
-                ops.append(self.unit())
-            elif nxt in ("parand", "choand"):
-                tok = self.peek()
-                raise ParseError(f"cannot mix {tok[1]!r} into this chain without "
-                                 f"parentheses at position {tok[2]}")
-            else:
-                break
-        cls = ParAnd if kind == "parand" else ChoAnd
-        return cls(tuple(ops))
-
-    def unit(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "top":
-            self.i += 1
-            return TOP
-        if kind == "bot":
-            self.i += 1
-            return BOT
-        if kind == "tilde":
-            self.i += 1
-            k2, v2, p2 = self.peek()
-            if k2 != "letter":
-                raise ParseError(f"negation applies only to atoms at position {p2}")
-            return self.atom(negated=True)
-        if kind == "lpar":
-            self.i += 1
-            f = self.formula()
-            self.take("rpar")
-            return f
-        if kind in ("call", "cex"):
-            self.i += 1
-            return self.quantifier_tail(ChoAll if kind == "call" else ChoEx)
-        if kind in ("choand", "choor") and self.peek(1)[0] == "var" \
-                and self.peek(2)[0] == "colon":
-            self.i += 1
-            return self.quantifier_tail(ChoAll if kind == "choand" else ChoEx)
-        if kind == "letter":
-            return self.atom(negated=False)
-        if kind == "var":
-            raise ParseError(f"variable {value!r} cannot be used as an atom "
-                             f"at position {pos}")
-        raise ParseError(f"expected a formula, found {value or 'end of input'!r} "
-                         f"at position {pos}")
-
-    def quantifier_tail(self, cls) -> Formula:
-        var = self.take("var")[1]
-        self.take("colon")
-        body = self.formula()  # extends as far right as possible
-        return cls(var, body)
-
-    def atom(self, negated: bool) -> Formula:
-        name = self.take("letter")[1]
-        args: list[Term] = []
-        if self.peek()[0] == "lpar":
-            self.i += 1
-            args.append(self.term())
-            while self.peek()[0] == "comma":
-                self.i += 1
-                args.append(self.term())
-            self.take("rpar")
-        return Atom(LetterId.from_name(name, len(args)), tuple(args), negated)
-
-    def term(self) -> Term:
-        kind, value, pos = self.peek()
-        if kind == "var":
-            self.i += 1
-            return Variable(value)
-        if kind == "nat":
-            if len(value) > 1 and value[0] == "0":
-                raise ParseError(f"leading zero in constant at position {pos}")
-            self.i += 1
-            return Constant(int(value))
-        raise ParseError(f"expected a term, found {value or 'end of input'!r} "
-                         f"at position {pos}")
+def _expect(tok: tuple[str, str, int], kind: str) -> None:
+    if tok[0] != kind:
+        raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r} "
+                         f"at position {tok[2]}")
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse the ASCII/Unicode surface syntax into a validated formula."""
-    p = _Parser(text)
-    f = p.formula()
-    p.take("eof")
-    validate_formula(f)
-    return f
+    """Parse the ASCII/Unicode surface syntax into a validated formula.
+
+    One loop reads the units left to right.  The whole input, each open
+    parenthesis and each quantifier body is a frame on an explicit stack
+    holding a disjunction chain and a conjunction chain, each [operator
+    kind or None, operands...], so nesting costs no recursion.  /\\ binds
+    tighter than \\/, and one chain never mixes its choice and parallel
+    operators.  A quantifier body extends as far right as possible: its
+    frame closes where its parent's frame closes.
+    """
+    tokens = _tokenize(text)
+    i = 0
+    frames: list[list] = [[None, [None], [None]]]  # [head, disjunction, conjunction]
+    while True:
+        # read one unit, opening frames for parentheses and quantifiers
+        kind, value, pos = tokens[i]
+        i += 1
+        if kind == "letter" or kind == "tilde":
+            negated = kind == "tilde"
+            if negated:
+                kind, value, pos = tokens[i]
+                if kind != "letter":
+                    raise ParseError(f"negation applies only to atoms at position {pos}")
+                i += 1
+            args: list[Term] = []
+            if tokens[i][0] == "lpar":
+                while True:
+                    tkind, tvalue, tpos = tokens[i + 1]
+                    if tkind == "var":
+                        args.append(Variable(tvalue))
+                    elif tkind == "nat":
+                        if len(tvalue) > 1 and tvalue[0] == "0":
+                            raise ParseError(f"leading zero in constant at position {tpos}")
+                        args.append(Constant(int(tvalue)))
+                    else:
+                        raise ParseError(f"expected a term, found "
+                                         f"{tvalue or 'end of input'!r} at position {tpos}")
+                    i += 2
+                    if tokens[i][0] != "comma":
+                        break
+                _expect(tokens[i], "rpar")
+                i += 1
+            node = Atom(LetterId.from_name(value, len(args)), tuple(args), negated)
+        elif kind == "top":
+            node = TOP
+        elif kind == "bot":
+            node = BOT
+        elif kind == "lpar":
+            frames.append(["(", [None], [None]])
+            continue
+        elif kind == "call" or kind == "cex" or (
+                kind in _QUANT_CLS and tokens[i][0] == "var" and tokens[i + 1][0] == "colon"):
+            _expect(tokens[i], "var")
+            _expect(tokens[i + 1], "colon")
+            frames.append([(_QUANT_CLS[kind], tokens[i][1]), [None], [None]])
+            i += 2
+            continue
+        elif kind == "var":
+            raise ParseError(f"variable {value!r} cannot be used as an atom "
+                             f"at position {pos}")
+        else:
+            raise ParseError(f"expected a formula, found {value or 'end of input'!r} "
+                             f"at position {pos}")
+
+        # add the unit to the innermost conjunction; close chains and frames
+        # until an operator continues one
+        while True:
+            frame = frames[-1]
+            kind, value, pos = tokens[i]
+            for level in (2, 1):  # the conjunction chain, then the disjunction chain
+                chain = frame[level]
+                chain.append(node)
+                if _CHAIN_LEVEL.get(kind) == level:
+                    if chain[0] is None:
+                        chain[0] = kind
+                    elif chain[0] != kind:
+                        raise ParseError(f"cannot mix {value!r} into this chain without "
+                                         f"parentheses at position {pos}")
+                    break
+                node = chain[1] if len(chain) == 2 else _CHAIN_CLS[chain[0]](tuple(chain[1:]))
+                frame[level] = [None]
+            else:
+                head = frame[0]
+                if head is None:
+                    _expect(tokens[i], "eof")
+                    validate_formula(node)
+                    return node
+                frames.pop()
+                if head == "(":
+                    _expect(tokens[i], "rpar")
+                    i += 1
+                else:
+                    node = head[0](head[1], node)
+                continue
+            i += 1
+            break

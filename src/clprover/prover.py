@@ -28,8 +28,8 @@ from .elementary import is_stable, is_stable_matched
 from .formula import (
     Atom, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, Formula, FormulaError,
     GENERAL, ELEMENTARY, LetterId, ParAnd, ParOr, Path, Term, Variable,
-    bound_variables, constants, facts, free_variables, has_choice,
-    has_general, is_letter_name, is_variable_name, letter_names, parse_formula,
+    bound_variables, constants, facts, free_variables, has_general,
+    is_letter_name, is_variable_name, letter_names, parse_formula,
     render_formula, replace_at, substitute_var, validate_formula,
 )
 
@@ -382,7 +382,7 @@ class _Search:
     def _decide_state(self, f: Formula, key: str, depth: int) -> bool:
         self.stats.states += 1
         index = _SurfaceIndex(f)
-        if not has_choice(f):
+        if not index.choices:  # the topmost choice on any path is on the surface
             known, verdict = self._choiceless_verdict(f, key, index)
             if known:
                 self.stats.shortcut_states += 1

@@ -440,6 +440,71 @@ def random_formula(rng: random.Random, budget: int = 6,
 
 
 # ---------------------------------------------------------------------------
+# deep formulas, built and compared without recursion
+
+_DEEP_KINDS = {"par_and": ParAnd, "par_or": ParOr, "cho_and": ChoAnd,
+               "cho_or": ChoOr, "cho_all": ChoAll, "cho_ex": ChoEx}
+
+
+def _deep_leaf(rng: random.Random, scope: list[str]) -> Formula:
+    r = rng.random()
+    if r < 0.1:
+        return TOP if r < 0.05 else BOT
+    name, arity = rng.choice((("p", 0), ("q", 1), ("P", 1), ("Q", 2)))
+    args = tuple(Variable(rng.choice(scope)) if scope and rng.random() < 0.6
+                 else Constant(rng.randint(0, 2)) for _ in range(arity))
+    return Atom(LetterId.from_name(name, arity), args, negated=rng.random() < 0.4)
+
+
+def deep_formula(rng: random.Random, depth: int) -> Formula:
+    """A valid formula with depth compound nodes on one spine: each wraps the
+    next, beside one or two atoms.  The spine is drawn outside in, then
+    assembled inside out."""
+    scope: list[str] = []
+    levels = []
+    for i in range(depth):
+        kind = rng.choice(tuple(_DEEP_KINDS))
+        if kind in ("cho_all", "cho_ex"):
+            scope.append(f"x{i}")
+            levels.append((kind, scope[-1]))
+        else:
+            atoms = [_deep_leaf(rng, scope) for _ in range(rng.choice((1, 1, 2)))]
+            levels.append((kind, atoms))
+    f = _deep_leaf(rng, scope)
+    for kind, extra in reversed(levels):
+        if isinstance(extra, str):
+            f = _DEEP_KINDS[kind](extra, f)
+        else:
+            at = rng.randint(0, len(extra))
+            f = _DEEP_KINDS[kind](tuple(extra[:at] + [f] + extra[at:]))
+    validate_formula(f)
+    return f
+
+
+def same_formula(f: Formula, g: Formula) -> bool:
+    """Structural equality by an explicit stack, for formulas too deep for
+    the recursive == of the nodes."""
+    stack = [(f, g)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Atom):
+            if a != b:  # letter, arguments and sign: no nested formulas
+                return False
+        elif isinstance(a, (ChoAll, ChoEx)):
+            if a.var != b.var:
+                return False
+            stack.append((a.body, b.body))
+        else:
+            ka, kb = children(a), children(b)
+            if len(ka) != len(kb):
+                return False
+            stack.extend(zip(ka, kb))
+    return True
+
+
+# ---------------------------------------------------------------------------
 # structural comparison up to general-letter names and associativity
 
 def flatten_parallel(f: Formula) -> Formula:

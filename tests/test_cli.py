@@ -94,6 +94,16 @@ def test_check_accepts_and_rejects(capsys, tmp_path):
     assert code == 1 and "cl3" in out
 
 
+def test_check_rejects_search_flags(capsys, tmp_path):
+    # check replays a given proof: the search flags of prove mean nothing there
+    target = tmp_path / "proof.json"
+    run(capsys, "prove", "--formula", "T", "--proof-out", str(target))
+    with pytest.raises(SystemExit) as info:
+        main(["check", "--proof", str(target), "--no-memo"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --no-memo" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # reduce
 
@@ -273,20 +283,28 @@ def test_deep_input_exits_two(capsys):
     q = prefix + " : (w0 | w1 | w2)"
     code, out, _ = run(capsys, "reduce", "--target", "cl4", "--qbf", q)
     assert code == 0
-    # the parser and node equality still recurse once per nesting level, so
-    # reading the image back and comparing it need a deeper stack
+    f = parse_formula(out)  # the parser needs no recursion either
+    # node equality still recurses once per nesting level
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(20000)
     try:
-        assert parse_formula(out) == reduce_to_cl4(parse_qbf(q))
+        assert f == reduce_to_cl4(parse_qbf(q))
     finally:
         sys.setrecursionlimit(limit)
 
 
 def test_deeply_nested_formula_exits_two(capsys):
-    code, _, err = run(capsys, "prove", "--formula", "(" * 300 + "p" + ")" * 300)
+    # the search still recurses once per move
+    deep = "p cor (" * 1000 + "p" + ")" * 1000
+    code, _, err = run(capsys, "prove", "--formula", deep)
     assert code == 2
     assert err.startswith("error: input nests too deeply")
+
+
+@pytest.mark.parametrize("inner, expected", [("p \\/ ~p", 0), ("p", 1)])
+def test_deeply_parenthesized_formula_is_decided(capsys, inner, expected):
+    code, _, _ = run(capsys, "prove", "--formula", "(" * 300 + inner + ")" * 300)
+    assert code == expected
 
 
 def test_conflicting_sources_exit_two(capsys, tmp_path):

@@ -35,6 +35,8 @@ from clprover.prover import (
 def assert_surface_matches(f):
     index = _SurfaceIndex(f)
     assert index.choices == ref_surface(f, (ChoAnd, ChoOr, ChoAll, ChoEx))
+    # the search tells choiceless states by the surface alone
+    assert bool(index.choices) == has_choice(f) == ref_has_choice(f)
     gens = ref_surface_general_atoms(f)
     letters = []
     for _, a in gens:

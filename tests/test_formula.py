@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_formula, ref_surface_general_atoms
+from conftest import (
+    deep_formula, random_formula, ref_surface_general_atoms, same_formula,
+)
 from clprover.formula import (
     Atom, BOT, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, ELEMENTARY, FormulaError,
     GENERAL, LetterId, ParAnd, ParOr, ParseError, PathError, SubstitutionError,
@@ -70,6 +72,26 @@ def test_render_examples():
 def test_parse_render_round_trip(seed):
     f = random_formula(random.Random(seed), budget=7)
     assert parse_formula(render_formula(f)) == f
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9))
+def test_parse_render_round_trip_deep(seed):
+    # several hundred levels: the parser keeps its frames on a list, not on
+    # the Python stack, and same_formula compares without recursion
+    rng = random.Random(seed)
+    f = deep_formula(rng, rng.randint(200, 600))
+    g = parse_formula(render_formula(f))
+    assert same_formula(g, f)
+    assert not same_formula(g, deep_formula(rng, 3))
+
+
+def test_parse_deep_parentheses():
+    p = Atom(LetterId(ELEMENTARY, "p", 0))
+    assert parse_formula("(" * 100_000 + "p" + ")" * 100_000) == p
+    with pytest.raises(ParseError, match="expected rpar, found 'end of input' "
+                                         "at position 200000"):
+        parse_formula("(" * 100_000 + "p" + ")" * 99_999)
 
 
 # every parse error, with its exact message and position
