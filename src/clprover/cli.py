@@ -82,6 +82,7 @@ def cmd_prove(args) -> int:
                       "stableChecks": stats.stable_checks,
                       "memoHits": stats.memo_hits,
                       "forcedMatches": stats.forced_matches,
+                      "prunedTerms": stats.pruned_terms,
                       "maxDepth": stats.max_depth, "measure": measure(f)},
         }, ensure_ascii=False, indent=2))
     elif proof is None:

@@ -12,9 +12,11 @@ goals.
 Search runs in two passes over the same rule order: a memoized verdict pass,
 then proof construction that takes the first rule the verdict pass accepts.
 The proof that comes out is exactly the one a naive first-success
-depth-first search over the rule order would find.  Each state the two
-passes expand is walked through its surface once: the _SurfaceIndex built
-there is handed to every rule that reads the surface.
+depth-first search over the rule order would find.  Both passes skip the
+choose-term moves on fresh constants that an earlier term dominates, which
+that search never picks.  Each state the two passes expand is walked through
+its surface once: the _SurfaceIndex built there is handed to every rule that
+reads the surface.
 """
 
 from __future__ import annotations
@@ -118,6 +120,7 @@ class SearchStats:
     stable_checks: int = 0  # is_stable calls made by the search
     memo_hits: int = 0  # decide calls answered from the memo
     forced_matches: int = 0  # forced-match shortcuts taken
+    pruned_terms: int = 0  # choose-term moves skipped on dominated constants
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +288,10 @@ def term_pool(f: Formula, pool: TermPool) -> list[Term]:
     return out
 
 
-def _var_key(name: str) -> tuple[str, int]:
-    head = name[0]
-    return (head, int(name[1:]) if len(name) > 1 else -1)
+def _var_key(name: str) -> tuple[str, int, str]:
+    # the full name breaks ties such as x1 and x01, which would otherwise
+    # keep the order of set iteration and so follow the hash seed
+    return (name[0], int(name[1:]) if len(name) > 1 else -1, name)
 
 
 def enumerate_moves(f: Formula, config: ProverConfig,
@@ -396,7 +400,23 @@ class _Search:
                 all(self.decide(p, depth + 1) for p in wait_premises(f, index)):
             return True
         return any(self.decide(apply_move(f, m), depth + 1)
-                   for m in enumerate_moves(f, self.config, index))
+                   for m in self._moves(f, index))
+
+    def _moves(self, f: Formula, index: _SurfaceIndex) -> list[Move]:
+        # enumerate_moves less the choose-term moves on dominated fresh
+        # constants.  Substituting a term t for a fresh constant c maps a
+        # proof of A(c) to a proof of A(t), and every occurring term precedes
+        # c in the pool, so a first-success search never picks c when a term
+        # occurs.  When none does, the first fresh constant, 0, dominates the
+        # others the same way.  Verdicts and proofs therefore do not change.
+        moves = enumerate_moves(f, self.config, index)
+        s = facts(f)
+        first = None if s.consts or s.free else Constant(0)
+        kept = [m for m in moves
+                if not isinstance(m, ChooseTerm) or isinstance(m.term, Variable)
+                or m.term.value in s.consts or m.term == first]
+        self.stats.pruned_terms += len(moves) - len(kept)
+        return kept
 
     def _choiceless_verdict(self, f: Formula, key: str,
                             index: Optional[_SurfaceIndex] = None
@@ -423,7 +443,7 @@ class _Search:
             if all(self.decide(p, depth + 1) for p in prems):
                 return ProofNode(f, WAIT,
                                  tuple(self.build(p, depth + 1) for p in prems))
-        for m in enumerate_moves(f, self.config, index):
+        for m in self._moves(f, index):
             g = apply_move(f, m)
             if self.decide(g, depth + 1):
                 return ProofNode(f, m, (self.build(g, depth + 1),))

@@ -19,7 +19,8 @@ from clprover.formula import (
     validate_formula, with_children,
 )
 from clprover.prover import (
-    Logic, MatchPair, apply_move, fresh_match_letter, fresh_wait_variable,
+    WAIT, Logic, MatchPair, ProofNode, ProverConfig, apply_move,
+    enumerate_moves, fresh_match_letter, fresh_wait_variable, wait_premises,
 )
 from clprover.qbf import EXISTS, Qbf, StrategyNode
 
@@ -195,6 +196,28 @@ def naive_provable(f: Formula, logic: Logic = Logic.CL4) -> bool:
                                 for p in _oracle_wait_premises(f)):
         return True
     return any(naive_provable(g, logic) for g in _oracle_moves(f, logic))
+
+
+def ref_first_success_proof(f: Formula, config: ProverConfig):
+    """The proof a first-success depth-first search finds: wait when f is
+    stable and every wait premise is provable, or else the first move of the
+    unpruned enumerate_moves order whose result is provable.  Verdicts come
+    from naive_provable; there is no memo and no shortcut.  None when f is
+    not provable."""
+    logic = config.logic
+
+    def build(g: Formula) -> ProofNode:
+        if oracle_stable(g):
+            prems = wait_premises(g)
+            if all(naive_provable(p, logic) for p in prems):
+                return ProofNode(g, WAIT, tuple(build(p) for p in prems))
+        for m in enumerate_moves(g, config):
+            h = apply_move(g, m)
+            if naive_provable(h, logic):
+                return ProofNode(g, m, (build(h),))
+        raise AssertionError("a provable formula has no provable premise")
+
+    return build(f) if naive_provable(f, logic) else None
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +413,15 @@ _GEN_LETTERS = (("P", 0), ("Q", 1), ("R", 1), ("S", 2))
 
 
 def random_formula(rng: random.Random, budget: int = 6,
-                   allow_general: bool = True) -> Formula:
+                   allow_general: bool = True, closed: bool = False) -> Formula:
+    """A random valid formula.  A closed one has no free variable and no
+    constant: its terms are bound variables, so atoms outside every
+    quantifier are propositional."""
     binder_names = (f"u{i}" for i in itertools.count())
 
     def term(scope):
+        if closed:
+            return Variable(rng.choice(scope))
         r = rng.random()
         if scope and r < 0.55:
             return Variable(rng.choice(scope))
@@ -403,7 +431,10 @@ def random_formula(rng: random.Random, budget: int = 6,
 
     def atom(scope):
         pick_general = allow_general and rng.random() < 0.45
-        name, arity = rng.choice(_GEN_LETTERS if pick_general else _ELEM_LETTERS)
+        letters = _GEN_LETTERS if pick_general else _ELEM_LETTERS
+        if closed and not scope:
+            letters = tuple(L for L in letters if L[1] == 0)
+        name, arity = rng.choice(letters)
         args = tuple(term(scope) for _ in range(arity))
         return Atom(LetterId.from_name(name, arity), args,
                     negated=rng.random() < 0.4)

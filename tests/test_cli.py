@@ -1,12 +1,16 @@
 """End-to-end runs of the command line front end via main(argv)."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import clprover
 from clprover.cli import main
-from clprover.formula import parse_formula
+from clprover.formula import parse_formula, render_formula
 from clprover.prover import check_proof, proof_from_json
 from clprover.qbf import parse_qbf, render_qdimacs
 from clprover.reduction import reduce_to_cl4
@@ -55,6 +59,7 @@ def test_prove_json_report(capsys):
     assert doc["provable"] is True
     assert doc["stats"]["maxDepth"] <= doc["stats"]["measure"] + 1
     assert doc["stats"]["stableChecks"] >= 1
+    assert doc["stats"]["prunedTerms"] == 0  # no choice-ex quantifier
     # the build pass asks again for the verdict of the premise it picks
     code, out, _ = run(capsys, "prove", "--formula", "cex x: (p(x) \\/ ~p(1))",
                        "--json")
@@ -67,6 +72,27 @@ def test_prove_json_report(capsys):
                        "--json")
     stats = json.loads(out)["stats"]
     assert code == 0 and stats["forcedMatches"] >= 1
+    # once the image has constants, the search skips the fresh constant
+    image = render_formula(reduce_to_cl4(parse_qbf(
+        "exists x forall y exists z : (x | y | z)")))
+    code, out, _ = run(capsys, "prove", "--formula", image, "--json")
+    assert code == 0 and json.loads(out)["stats"]["prunedTerms"] >= 1
+
+
+def test_prove_json_does_not_follow_the_hash_seed():
+    # x1 and x01 are both candidate terms; their order once followed set
+    # iteration, so the chosen term changed with PYTHONHASHSEED
+    argv = [sys.executable, "-m", "clprover.cli", "prove", "--formula",
+            "cex z: q(z) \\/ ~q(x1) \\/ q(z) \\/ ~q(x01)", "--json"]
+    src = str(Path(clprover.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(argv, env=env, capture_output=True, text=True,
+                              check=True)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert '"term": "x01"' in outs[0]
 
 
 def test_prove_reads_formula_from_file(capsys, tmp_path):

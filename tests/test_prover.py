@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_provable, random_formula
+from conftest import naive_provable, random_formula, ref_first_success_proof
 from clprover.formula import (
     Constant, ELEMENTARY, LetterId, Variable, children, has_general,
     parse_formula,
@@ -80,6 +80,14 @@ def test_term_pool_order_constants_then_variables_then_fresh():
         [Constant(2), Variable("y"), Constant(0)]
 
 
+def test_term_pool_orders_variables_by_number_then_name():
+    # x01 and x1 share a number; the name breaks the tie, so the order does
+    # not follow set iteration
+    f = parse_formula("cex z: q(z) \\/ ~q(x10) \\/ ~q(x1) \\/ ~q(x2) \\/ ~q(x01)")
+    assert term_pool(f, TermPool.OCCURRING) == \
+        [Variable("x01"), Variable("x1"), Variable("x2"), Variable("x10")]
+
+
 def test_enumerate_skips_match_without_both_polarities():
     moves = enumerate_moves(parse_formula("P(0) \\/ P(1)"), ProverConfig())
     assert moves == []
@@ -152,6 +160,50 @@ def test_prove_agrees_with_the_naive_search_cl3(seed):
     f = random_formula(random.Random(seed), budget=6, allow_general=False)
     assert not has_general(f)
     assert (prove(f, CL3) is not None) == naive_provable(f, Logic.CL3)
+
+
+# The search skips choose-term moves on dominated fresh constants; these
+# tests hold it to the proof of the unpruned first-success search.
+
+CUT_CONFIGS = [ProverConfig(logic=logic, term_pool=pool)
+               for logic in (Logic.CL4, Logic.CL3)
+               for pool in (TermPool.OCCURRING_PLUS_FRESH,
+                            TermPool.OCCURRING_PLUS_TWO_FRESH)]
+CUT_IDS = [f"{c.logic.value}-{c.term_pool.value}" for c in CUT_CONFIGS]
+
+
+def cut_goal(seed, logic):
+    """A random goal, three times in ten a closed one: no term occurs."""
+    rng = random.Random(seed)
+    closed = rng.random() < 0.3
+    f = random_formula(rng, budget=7, allow_general=logic is Logic.CL4,
+                       closed=closed)
+    return f, closed
+
+
+def pruned_terms_of_first_success(f, config):
+    proof, stats = prove_with_stats(f, config)
+    assert proof == ref_first_success_proof(f, config)
+    return stats.pruned_terms
+
+
+@pytest.mark.parametrize("config", CUT_CONFIGS, ids=CUT_IDS)
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_pruned_search_finds_the_first_success_proof(config, seed):
+    pruned_terms_of_first_success(cut_goal(seed, config.logic)[0], config)
+
+
+@pytest.mark.parametrize("config", CUT_CONFIGS, ids=CUT_IDS)
+def test_first_success_proofs_on_goals_that_prune(config):
+    # fixed seeds, so the share of goals that exercise the cut is fixed too
+    pruned = closed_pruned = 0
+    for seed in range(300):
+        f, closed = cut_goal(seed, config.logic)
+        hit = pruned_terms_of_first_success(f, config) > 0
+        pruned += hit
+        closed_pruned += hit and closed
+    assert pruned >= 40 and closed_pruned >= 5
 
 
 @settings(max_examples=80, deadline=None)
