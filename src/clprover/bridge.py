@@ -12,8 +12,10 @@ forces the rest: a gadget wait splits into its 0 and 1 branches, each
 branch commits its bit and matches the gadget pair at once, and the endgame
 matches every surviving pair and waits.  strategy_to_proof reads the _Dec
 off a winning strategy tree.  canonicalize_proof and proof_to_strategy
-extract it from a checked proof; a proof is canonical exactly when it
-equals its replay, and proof_to_strategy accepts only canonical proofs.
+extract it from a proof; a proof is canonical exactly when it equals its
+replay, and proof_to_strategy accepts only canonical proofs.  Every node the
+replay builds passes check_proof, so a canonical proof costs one replay and
+no separate check.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from typing import Optional
 
 from .elementary import is_stable
 from .formula import (
-    Atom, ChoAnd, ChoEx, Constant, ELEMENTARY, Formula, GENERAL, LetterId,
-    ParAnd, ParOr, Path, Variable, is_elementary, render_formula,
+    Atom, ChoAnd, ChoEx, Constant, ELEMENTARY, Formula, FormulaError, GENERAL,
+    LetterId, ParAnd, ParOr, Path, Variable, is_elementary, render_formula,
+    validate_formula,
 )
 from .prover import (
     ChooseTerm, MatchPair, ProofNode, WAIT, Wait, apply_move, check_proof,
@@ -189,10 +192,22 @@ class _Dec:
     split: Optional[tuple["_Dec", "_Dec"]]
 
 
-def _replay(f: Formula, dec: _Dec, i: int, level: LevelLabel) -> ProofNode:
+def _replay(f: Formula, dec: _Dec, i: int = 0,
+            level: Optional[LevelLabel] = None) -> ProofNode:
     """The canonical proof of f that makes the term choices dec.choices[i:]
     and splits where dec does.  level is the strategy-tree level of the
-    choice quantifier that f starts with or that was chosen last."""
+    choice quantifier that f starts with or that was chosen last; None at
+    the root, which must be a valid formula.
+
+    Every node the replay builds passes check_proof: a valid root, premises
+    that the moves derive, and waits on stable states whose premises are
+    exactly wait_premises.  _canonical relies on it."""
+    if level is None:
+        try:
+            validate_formula(f)
+        except FormulaError as e:
+            raise BridgeError(f"bad conclusion: {e}") from None
+        level = LevelLabel(1)
     shape = _analyze(f)
     if shape.cls is ShapeClass.EXISTS_CHOICE:
         if i >= len(dec.choices):
@@ -212,6 +227,9 @@ def _replay(f: Formula, dec: _Dec, i: int, level: LevelLabel) -> ProofNode:
                               f"the sentence does")
         if not is_stable(f):
             raise BridgeError(f"level {glevel}: gadget state is unstable")
+        # the shape leaves two surface choices: the cand, whose two operands
+        # differ, and the cex, which waiting leaves alone.  So the 0 and 1
+        # branches are all of wait_premises(f)
         prems = wait_premises(f)
         kids = tuple(_replay_commit(prems[a], dec.split[a], a, glevel)
                      for a in (0, 1))
@@ -228,6 +246,9 @@ def _replay(f: Formula, dec: _Dec, i: int, level: LevelLabel) -> ProofNode:
         return ProofNode(f, move, (_replay(apply_move(f, move), dec, i, level),))
     if not is_stable(f):
         raise BridgeError(f"level {level}: endgame state is unstable: "
+                          f"{render_formula(f)}")
+    if wait_premises(f):
+        raise BridgeError(f"level {level}: endgame state waits on premises: "
                           f"{render_formula(f)}")
     return ProofNode(f, WAIT, ())
 
@@ -271,7 +292,7 @@ def strategy_to_proof(q: Qbf, tree: StrategyNode) -> ProofNode:
     res = check_strategy_tree(q, tree)
     if not res:
         raise BridgeError(f"strategy tree is not winning: {res.diagnostics[0]}")
-    return _replay(f, _tree_dec(tree), 0, LevelLabel(1))
+    return _replay(f, _tree_dec(tree))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +301,8 @@ def strategy_to_proof(q: Qbf, tree: StrategyNode) -> ProofNode:
 def _extract(node: ProofNode) -> _Dec:
     """Collect the term choices along each branch (they always fire outside
     in) and where the proof wait-splits.  Matches carry no information.
-    The proof must have passed check_proof."""
+    The proof need not have been checked: a node of a shape the replay
+    cannot take raises BridgeError, and _canonical compares the rest."""
     choices: list[int] = []
     cur = node
     while True:
@@ -288,13 +310,13 @@ def _extract(node: ProofNode) -> _Dec:
         if isinstance(rule, Wait):
             if not cur.premises:
                 return _Dec(choices, None)
-            if len(cur.premises) != 2:
+            want = wait_premises(cur.conclusion)
+            if len(cur.premises) != 2 or len(want) != 2:
                 raise BridgeError("proof is not over a reduced sentence: "
                                   "unexpected wait arity")
-            # check_proof has matched the premises against the required
-            # set already; only their order is left to read
+            # only the order of the premises is read here
             lo, hi = cur.premises
-            if lo.conclusion != wait_premises(cur.conclusion)[0]:
+            if lo.conclusion != want[0]:
                 lo, hi = hi, lo
             return _Dec(choices, (_extract(lo), _extract(hi)))
         if isinstance(rule, ChooseTerm):
@@ -302,24 +324,35 @@ def _extract(node: ProofNode) -> _Dec:
                 raise BridgeError("proof is not over a reduced sentence: "
                                   "a term choice is not a constant")
             choices.append(rule.term.value)
-            cur = cur.premises[0]
-        elif isinstance(rule, MatchPair):
-            cur = cur.premises[0]
-        else:
+        elif not isinstance(rule, MatchPair):
             raise BridgeError("proof is not over a reduced sentence: "
                               "choose-disjunct cannot occur")
+        if len(cur.premises) != 1:
+            raise BridgeError("proof is not over a reduced sentence: "
+                              "a move takes one premise")
+        cur = cur.premises[0]
 
 
-def _canonical(proof: ProofNode) -> tuple[_Dec, ProofNode]:
-    """Check a proof, read its decisions and replay them.  A proof equal to
-    its replay comes back as itself: it has passed the check already."""
+def _check_input(proof: ProofNode) -> None:
     res = check_proof(proof)
     if not res:
         raise BridgeError(f"input proof does not check: {res.diagnostics[0]}")
-    dec = _extract(proof)
-    out = _replay(proof.conclusion, dec, 0, LevelLabel(1))
+
+
+def _canonical(proof: ProofNode) -> tuple[_Dec, ProofNode]:
+    """Read a proof's decisions and replay them.  A proof equal to its
+    replay comes back as itself, unchecked: every replay node passes
+    check_proof.  Any other proof, and one the walk fails on, must check
+    before its replay or the failure is reported."""
+    try:
+        dec = _extract(proof)
+        out = _replay(proof.conclusion, dec)
+    except BridgeError:
+        _check_input(proof)
+        raise
     if out == proof:
         return dec, proof
+    _check_input(proof)
     res = check_proof(out)
     if not res:
         raise BridgeError(f"canonical replay does not check: {res.diagnostics[0]}")

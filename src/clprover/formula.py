@@ -84,11 +84,21 @@ class LetterId:
 class Formula:
     """Base class; all nodes are immutable and compare structurally.
 
-    The one extra slot holds the node's Facts once a query has asked for
-    them; it takes no part in equality or hashing.
+    Equality and hashing walk the tree without recursion, so formulas of any
+    depth compare.  The one extra slot holds the node's Facts once a query
+    has asked for them; it takes no part in equality or hashing.
     """
 
     __slots__ = ("_facts",)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return _same(self, other)
+
+    def __hash__(self) -> int:
+        # equal formulas render alike
+        return hash(render_formula(self))
 
     def __str__(self) -> str:
         return render_formula(self)
@@ -97,50 +107,50 @@ class Formula:
         return render_formula(self)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Atom(Formula):
     letter: LetterId
     args: tuple[Term, ...] = ()
     negated: bool = False
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class ParAnd(Formula):
     operands: tuple[Formula, ...]
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class ParOr(Formula):
     operands: tuple[Formula, ...]
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class ChoAnd(Formula):
     operands: tuple[Formula, ...]
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class ChoOr(Formula):
     operands: tuple[Formula, ...]
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class ChoAll(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class ChoEx(Formula):
     var: str
     body: Formula
@@ -174,6 +184,33 @@ def with_children(f: Formula, new: tuple[Formula, ...]) -> Formula:
     if new:
         raise PathError("leaf node has no children")
     return f
+
+
+def _same(f: Formula, g: Formula) -> bool:
+    """Structural equality by an explicit stack.  Identical subtrees, which a
+    derived formula shares with the one it came from, are not walked."""
+    stack = [(f, g)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        kind = type(a)
+        if kind is not type(b):
+            return False
+        if kind is Atom:
+            if a.negated != b.negated or a.letter != b.letter or a.args != b.args:
+                return False
+        elif kind in _NARY:
+            if len(a.operands) != len(b.operands):
+                return False
+            stack.extend(zip(a.operands, b.operands))
+        elif kind in _QUANT:
+            if a.var != b.var:
+                return False
+            stack.append((a.body, b.body))
+        elif kind is not Top and kind is not Bot:
+            return False  # not a formula node, and not the same object
+    return True
 
 
 def subformulas(f: Formula) -> Iterator[tuple[Path, Formula]]:
@@ -364,9 +401,10 @@ def substitute_var(f: Formula, var: str, term: Term) -> Formula:
                          for t in node.args)
             return Atom(node.letter, args, node.negated)
         kids = children(node)
-        if not kids:
-            return node
-        return with_children(node, tuple(walk(k) for k in kids))
+        new = tuple(walk(k) for k in kids)
+        if all(a is b for a, b in zip(new, kids)):
+            return node  # var does not occur below: share the subtree
+        return with_children(node, new)
 
     return walk(f)
 

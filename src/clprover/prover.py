@@ -582,6 +582,24 @@ _RULE_KEYS = {
 
 
 def proof_from_dict(d) -> ProofNode:
+    """Read a proof node.  Only the root's conclusion is always parsed: a
+    premise whose text is the rendering of a conclusion its parent's rule
+    derives takes that formula, and any other text is parsed.  Parsing
+    inverts rendering, so both give the same node, and check_proof still
+    re-derives every node."""
+    return _node_from_dict(d, {})
+
+
+def _derived(f: Formula, rule: Union[Wait, Move]) -> dict[str, Formula]:
+    """The premise conclusions rule derives from f, keyed by their text."""
+    try:
+        prems = wait_premises(f) if isinstance(rule, Wait) else [apply_move(f, rule)]
+    except (MoveError, FormulaError):  # the rule does not apply: parse instead
+        return {}
+    return {render_formula(p): p for p in prems}
+
+
+def _node_from_dict(d, derived: dict[str, Formula]) -> ProofNode:
     if not isinstance(d, dict):
         raise ProofFormatError("proof node must be an object")
     missing = {"formula", "rule", "premises"} - d.keys()
@@ -599,10 +617,12 @@ def proof_from_dict(d) -> ProofNode:
         raise ProofFormatError(f"{rule_name} node is missing {sorted(lost)}")
     if not isinstance(d["formula"], str):
         raise ProofFormatError("formula must be a string")
-    try:
-        f = parse_formula(d["formula"])
-    except FormulaError as e:
-        raise ProofFormatError(f"bad formula: {e}") from None
+    f = derived.get(d["formula"])
+    if f is None:
+        try:
+            f = parse_formula(d["formula"])
+        except FormulaError as e:
+            raise ProofFormatError(f"bad formula: {e}") from None
 
     if rule_name == "wait":
         rule: Union[Wait, Move] = WAIT
@@ -625,7 +645,8 @@ def proof_from_dict(d) -> ProofNode:
                          LetterId(ELEMENTARY, fr["name"], fr["arity"]))
     if not isinstance(d["premises"], list):
         raise ProofFormatError("premises must be a list")
-    return ProofNode(f, rule, tuple(proof_from_dict(p) for p in d["premises"]))
+    known = _derived(f, rule) if d["premises"] else {}
+    return ProofNode(f, rule, tuple(_node_from_dict(p, known) for p in d["premises"]))
 
 
 def proof_to_json(node: ProofNode) -> str:

@@ -9,20 +9,28 @@ table, and strategy-tree existence from enumerating all shaped trees.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 import random
 
+from clprover.bridge import BridgeError, _extract, _replay, strategy_to_proof
 from clprover.formula import (
     Atom, Bot, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, Formula, FormulaError,
     LetterId, ParAnd, ParOr, Top, Variable, BOT, ELEMENTARY, GENERAL, TOP,
-    children, render_formula, replace_at, subformulas, substitute_var,
-    validate_formula, with_children,
+    children, parse_formula, render_formula, replace_at, subformulas,
+    substitute_var, validate_formula, with_children,
 )
 from clprover.prover import (
-    WAIT, Logic, MatchPair, ProofNode, ProverConfig, apply_move,
-    enumerate_moves, fresh_match_letter, fresh_wait_variable, wait_premises,
+    _RULE_KEYS, WAIT, ChooseDisjunct, ChooseTerm, Logic, MatchPair,
+    ProofFormatError, ProofNode, ProverConfig, apply_move, check_proof,
+    enumerate_moves, fresh_match_letter, fresh_wait_variable, prove,
+    _path_from_json, _term_from_json, wait_premises,
 )
-from clprover.qbf import EXISTS, Qbf, StrategyNode
+from clprover.qbf import (
+    EXISTS, Qbf, StrategyNode, random_corpus, winning_strategy_tree,
+)
+from clprover.reduction import reduce_to_cl3, reduce_to_cl4
 
 
 # ---------------------------------------------------------------------------
@@ -574,3 +582,97 @@ def equal_mod_general_letters(f: Formula, g: Formula, _map=None) -> bool:
     fk, gk = children(f), children(g)
     return len(fk) == len(gk) and all(
         equal_mod_general_letters(a, b, _map) for a, b in zip(fk, gk))
+
+
+# ---------------------------------------------------------------------------
+# proof artifacts: the golden corpus, and the readers and the canonical pass
+# as first written
+
+@functools.lru_cache(maxsize=None)
+def golden_proofs() -> tuple[tuple[Qbf, str, ProofNode], ...]:
+    """(sentence, "cl4" | "cl3" | "bridge", proof) for the proofs of the
+    corpus tests/test_golden.py pins, the missing ones left out."""
+    out = []
+    for q in random_corpus(20, seed=2024, prefix_lengths=(1, 3, 5),
+                           max_clauses=4, min_clauses=2):
+        tree = winning_strategy_tree(q)
+        for kind, p in (
+                ("cl4", prove(reduce_to_cl4(q))),
+                ("cl3", prove(reduce_to_cl3(q), ProverConfig(logic=Logic.CL3))),
+                ("bridge", strategy_to_proof(q, tree) if tree else None)):
+            if p is not None:
+                out.append((q, kind, p))
+    return tuple(out)
+
+
+def _ref_proof_from_dict(d) -> ProofNode:
+    if not isinstance(d, dict):
+        raise ProofFormatError("proof node must be an object")
+    missing = {"formula", "rule", "premises"} - d.keys()
+    if missing:
+        raise ProofFormatError(f"proof node is missing {sorted(missing)}")
+    rule_name = d["rule"]
+    if rule_name not in _RULE_KEYS:
+        raise ProofFormatError(f"unknown rule {rule_name!r}")
+    allowed = {"formula", "rule", "premises"} | _RULE_KEYS[rule_name]
+    extra = d.keys() - allowed
+    if extra:
+        raise ProofFormatError(f"unexpected keys {sorted(extra)} on a {rule_name} node")
+    lost = _RULE_KEYS[rule_name] - d.keys()
+    if lost:
+        raise ProofFormatError(f"{rule_name} node is missing {sorted(lost)}")
+    if not isinstance(d["formula"], str):
+        raise ProofFormatError("formula must be a string")
+    try:
+        f = parse_formula(d["formula"])
+    except FormulaError as e:
+        raise ProofFormatError(f"bad formula: {e}") from None
+    if rule_name == "wait":
+        rule = WAIT
+    elif rule_name == "choose-disjunct":
+        if not isinstance(d["index"], int) or isinstance(d["index"], bool):
+            raise ProofFormatError("index must be an integer")
+        rule = ChooseDisjunct(_path_from_json(d["path"], "path"), d["index"])
+    elif rule_name == "choose-term":
+        rule = ChooseTerm(_path_from_json(d["path"], "path"),
+                          _term_from_json(d["term"]))
+    else:
+        fr = d["fresh"]
+        if not isinstance(fr, dict) or set(fr) != {"name", "arity"} \
+                or not isinstance(fr.get("name"), str) \
+                or not isinstance(fr.get("arity"), int) or isinstance(fr.get("arity"), bool) \
+                or fr["arity"] < 0:
+            raise ProofFormatError("fresh must be {name, arity}")
+        rule = MatchPair(_path_from_json(d["posPath"], "posPath"),
+                         _path_from_json(d["negPath"], "negPath"),
+                         LetterId(ELEMENTARY, fr["name"], fr["arity"]))
+    if not isinstance(d["premises"], list):
+        raise ProofFormatError("premises must be a list")
+    return ProofNode(f, rule, tuple(_ref_proof_from_dict(p) for p in d["premises"]))
+
+
+def ref_proof_from_json(text: str) -> ProofNode:
+    """The proof JSON reader that parses every conclusion."""
+    try:
+        data = json.loads(text)
+    except ValueError as e:
+        raise ProofFormatError(f"not valid JSON: {e}") from None
+    return _ref_proof_from_dict(data)
+
+
+def ref_canonical(proof: ProofNode):
+    """The canonical pass that checks first: check the input, read its
+    decisions, replay them, and check a replay that differs.  Returns the
+    decisions and the proof itself when it equals its replay, or else the
+    replay."""
+    res = check_proof(proof)
+    if not res:
+        raise BridgeError(f"input proof does not check: {res.diagnostics[0]}")
+    dec = _extract(proof)
+    out = _replay(proof.conclusion, dec)
+    if out == proof:
+        return dec, proof
+    res = check_proof(out)
+    if not res:
+        raise BridgeError(f"canonical replay does not check: {res.diagnostics[0]}")
+    return dec, out

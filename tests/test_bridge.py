@@ -1,11 +1,16 @@
+import random
+
 import pytest
 
+from conftest import golden_proofs, ref_canonical
 from clprover.bridge import (
-    BridgeError, LevelLabel, ShapeClass, canonicalize_proof, classify_shape,
-    proof_to_strategy, strategy_to_proof,
+    BridgeError, LevelLabel, ShapeClass, _dec_tree, canonicalize_proof,
+    classify_shape, proof_to_strategy, strategy_to_proof,
 )
 from clprover.elementary import is_stable
-from clprover.formula import Constant, is_elementary, parse_formula
+from clprover.formula import (
+    TOP, Constant, ParOr, is_elementary, parse_formula, render_formula,
+)
 from clprover.prover import (
     ChooseTerm, MatchPair, ProofNode, WAIT, Wait, check_proof, prove,
 )
@@ -226,3 +231,88 @@ def test_canonical_proofs_agree_with_the_original_choices():
         proof = prove(reduce_to_cl4(q))
         tree = proof_to_strategy(q, canonicalize_proof(proof))
         assert check_strategy_tree(q, tree), render_qbf(q)
+
+
+# ---------------------------------------------------------------------------
+# the canonical pass against the one that checks first
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BridgeError as e:
+        return str(e)
+
+
+def _ref_proof_to_strategy(q, proof):
+    if proof.conclusion != reduce_to_cl4(q):
+        raise BridgeError("proof does not conclude the sentence's cl4 image")
+    dec, out = ref_canonical(proof)
+    if out is not proof:
+        raise BridgeError("proof is not canonical: it differs from its "
+                          "canonical replay (see canonicalize_proof)")
+    return _dec_tree(dec)
+
+
+def _edit_at(node, rng, edit):
+    """node with one node on a random branch replaced by edit(that node);
+    None when edit declines every node on the branch."""
+    spine = [node]
+    while spine[-1].premises:
+        spine.append(rng.choice(spine[-1].premises))
+    for k in rng.sample(range(len(spine)), len(spine)):
+        new = edit(spine[k])
+        if new is not None:
+            break
+    else:
+        return None
+    for parent in reversed(spine[:k]):
+        prems = tuple(new if p is spine[k] else p for p in parent.premises)
+        new = ProofNode(parent.conclusion, parent.rule, prems)
+        k -= 1
+    return new
+
+
+def _term_to_2(n):
+    if isinstance(n.rule, ChooseTerm):
+        return ProofNode(n.conclusion, ChooseTerm(n.rule.path, Constant(2)), n.premises)
+    return None
+
+
+def _drop_premise(n):
+    return ProofNode(n.conclusion, n.rule, n.premises[1:]) if n.premises else None
+
+
+def _tamper_conclusion(n):
+    # a stable, valid formula in place of the node's own
+    return ProofNode(parse_formula("p \\/ ~p"), n.rule, n.premises)
+
+
+def _swap_split(n):
+    if isinstance(n.rule, Wait) and len(n.premises) == 2:
+        return ProofNode(n.conclusion, n.rule, n.premises[::-1])
+    return None
+
+
+def test_canonical_pass_agrees_with_checking_first():
+    rng = random.Random(17)
+    cases = []
+    for q, kind, proof in golden_proofs():
+        # a cl3 proof is not over the sentence's cl4 image
+        cases.append((None if kind == "cl3" else q, proof))
+        if kind == "bridge":
+            for edit in (_swap_split, _term_to_2, _drop_premise, _tamper_conclusion):
+                bad = _edit_at(proof, rng, edit)
+                if bad is not None:
+                    cases.append((q, bad))
+    for text in ("p cand q", "T \\/ (p cand q)"):
+        cases.append((WORKED_PHI, ProofNode(parse_formula(text), WAIT, ())))
+    cases.append((None, ProofNode(ParOr((TOP,)), WAIT, ())))  # not a valid formula
+    kinds = set()
+    for q, proof in cases:
+        want = _outcome(lambda p: ref_canonical(p)[1], proof)
+        kinds.add(type(want).__name__)
+        assert _outcome(canonicalize_proof, proof) == want, render_formula(proof.conclusion)
+        if q is not None:
+            assert _outcome(proof_to_strategy, q, proof) == \
+                _outcome(_ref_proof_to_strategy, q, proof)
+    assert kinds == {"ProofNode", "str"}

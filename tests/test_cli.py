@@ -310,13 +310,7 @@ def test_deep_input_exits_two(capsys):
     code, out, _ = run(capsys, "reduce", "--target", "cl4", "--qbf", q)
     assert code == 0
     f = parse_formula(out)  # the parser needs no recursion either
-    # node equality still recurses once per nesting level
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(20000)
-    try:
-        assert f == reduce_to_cl4(parse_qbf(q))
-    finally:
-        sys.setrecursionlimit(limit)
+    assert f == reduce_to_cl4(parse_qbf(q))  # nor does node equality
 
 
 def test_deeply_nested_formula_exits_two(capsys):

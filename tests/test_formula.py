@@ -216,6 +216,32 @@ def test_substitute_keeps_the_skeleton(seed):
     assert skel(f) == skel(g)
 
 
+def test_substitute_shares_untouched_subtrees():
+    f = parse_formula("p(x) \\/ (q /\\ call y: r(y)) \\/ cex z: s(z, x)")
+    g = substitute_var(f, "x", Constant(0))
+    assert g == parse_formula("p(0) \\/ (q /\\ call y: r(y)) \\/ cex z: s(z, 0)")
+    assert g.operands[1] is f.operands[1]
+    assert g.operands[2] is not f.operands[2]
+    assert substitute_var(f, "w", Constant(0)) is f
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_substitute_shares_every_subtree_without_the_variable(seed):
+    rng = random.Random(seed)
+    f = random_formula(rng, budget=8)
+    fv = sorted(free_variables(f))
+    if not fv:
+        return
+    var = rng.choice(fv)
+    g = substitute_var(f, var, Constant(7))
+    stack = [(f, g)]
+    while stack:
+        a, b = stack.pop()
+        assert (b is a) == (var not in free_variables(a))
+        stack.extend(zip(children(a), children(b)))
+
+
 def test_path_resolution_and_replacement():
     f = parse_formula("(p \\/ q) /\\ cex x: r(x)")
     assert resolve_path(f, ()) == f

@@ -1,12 +1,18 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_provable, random_formula, ref_first_success_proof
+from conftest import (
+    golden_proofs, naive_provable, random_formula, ref_first_success_proof,
+    ref_proof_from_json,
+)
+import clprover.prover
+from clprover.bridge import strategy_to_proof
 from clprover.formula import (
     Constant, ELEMENTARY, LetterId, Variable, children, has_general,
-    parse_formula,
+    parse_formula, render_formula,
 )
 from clprover.prover import (
     ChooseDisjunct, ChooseTerm, DepthLimitError, GoalError, Logic, MatchPair,
@@ -14,7 +20,7 @@ from clprover.prover import (
     check_proof, enumerate_moves, measure, proof_from_json, proof_to_dict,
     proof_to_json, prove, prove_with_stats, term_pool, wait_premises,
 )
-from clprover.qbf import eval_qbf, random_corpus
+from clprover.qbf import eval_qbf, parse_qbf, random_corpus, winning_strategy_tree
 from clprover.reduction import reduce_to_cl3, reduce_to_cl4
 
 
@@ -352,3 +358,96 @@ def test_emitted_artifacts_revalidate():
     assert proof is not None
     again = proof_from_json(proof_to_json(proof))
     assert check_proof(again)
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except ProofFormatError as e:
+        return type(e), str(e)
+
+
+def _node_dicts(d):
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node["premises"])
+
+
+def _unicode(text):
+    for ascii, uni in (("\\/", "∨"), ("/\\", "∧"), (" cand ", " ⊓ "), (" cor ", " ⊔ ")):
+        text = text.replace(ascii, uni)
+    return text
+
+
+_EDITS = ("spaced", "unicode", "underivable", "malformed", "swap", "path", "term")
+
+
+def _mutants(d, edits, rng):
+    """Proof documents near d, one per edit: one premise's text respaced,
+    in Unicode, replaced by a valid formula its parent does not derive, or
+    malformed; a wait node's premises swapped; a move whose path or term
+    changed."""
+    for edit in edits:
+        doc = json.loads(json.dumps(d))
+        parents = [n for n in _node_dicts(doc) if n["premises"]]
+        if not parents:
+            continue
+        node = rng.choice(parents)
+        prem = rng.choice(node["premises"])
+        if edit == "spaced":
+            prem["formula"] = prem["formula"].replace(" ", "  ")
+        elif edit == "unicode":
+            prem["formula"] = _unicode(prem["formula"])
+        elif edit == "underivable":
+            prem["formula"] = rng.choice((node["formula"], "p \\/ ~p", "T"))
+        elif edit == "malformed":
+            prem["formula"] = prem["formula"] + " \\/"
+        elif edit == "swap":
+            waits = [n for n in parents if len(n["premises"]) > 1]
+            if not waits:
+                continue
+            rng.choice(waits)["premises"].reverse()
+        elif edit == "path":
+            moves = [n for n in parents if "path" in n or "posPath" in n]
+            if not moves:
+                continue
+            move = rng.choice(moves)
+            move["path" if "path" in move else "posPath"] = [7, 7]
+        else:
+            terms = [n for n in parents if "term" in n]
+            if not terms:
+                continue
+            rng.choice(terms)["term"] = 2
+        yield json.dumps(doc)
+
+
+def test_reading_by_derivation_agrees_with_parsing_every_conclusion():
+    rng = random.Random(9)
+    texts = dict.fromkeys(proof_to_json(p) for _, _, p in golden_proofs())
+    for i, text in enumerate(texts):
+        proof = proof_from_json(text)
+        assert proof == ref_proof_from_json(text)
+        assert proof_to_json(proof) == text
+        # two edits per proof, in rotation, so every edit meets small and
+        # large proofs alike
+        edits = (_EDITS[i % len(_EDITS)], _EDITS[(i + 3) % len(_EDITS)])
+        for doc in _mutants(json.loads(text), edits, rng):
+            assert _read(proof_from_json, doc) == _read(ref_proof_from_json, doc)
+
+
+def test_reading_a_bridge_proof_parses_only_the_root(monkeypatch):
+    q = parse_qbf("exists x forall y exists z : (-x | y | x) & (z | x | -z)")
+    proof = strategy_to_proof(q, winning_strategy_tree(q))
+    text = proof_to_json(proof)
+    calls = []
+
+    def counting_parse(s):
+        calls.append(s)
+        return parse_formula(s)
+
+    monkeypatch.setattr(clprover.prover, "parse_formula", counting_parse)
+    assert proof_from_json(text) == proof
+    assert len(list(proof_nodes(proof))) > 20
+    assert calls == [render_formula(proof.conclusion)]
