@@ -10,12 +10,12 @@ _replay is the only walker that builds proofs.  It follows that shape from
 the cl4 image, takes the term choices and the wait splits from a _Dec, and
 forces the rest: a gadget wait splits into its 0 and 1 branches, each
 branch commits its bit and matches the gadget pair at once, and the endgame
-matches every surviving pair and waits.  strategy_to_proof reads the _Dec
-off a winning strategy tree.  canonicalize_proof and proof_to_strategy
-extract it from a proof; a proof is canonical exactly when it equals its
-replay, and proof_to_strategy accepts only canonical proofs.  Every node the
-replay builds passes check_proof, so a canonical proof costs one replay and
-no separate check.
+matches every surviving pair from one surface walk and waits.
+strategy_to_proof reads the _Dec off a winning strategy tree.
+canonicalize_proof and proof_to_strategy extract it from a proof; a proof is
+canonical exactly when it equals its replay, and proof_to_strategy accepts
+only canonical proofs.  Every node the replay builds passes check_proof, so
+a canonical proof costs one replay and no separate check.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .formula import (
     validate_formula,
 )
 from .prover import (
-    ChooseTerm, MatchPair, ProofNode, WAIT, Wait, apply_move, check_proof,
-    first_match_move, fresh_match_letter, wait_premises,
+    ChooseTerm, MatchPair, ProofNode, WAIT, Wait, _SurfaceIndex, apply_move,
+    canonical_matches, check_proof, fresh_match_letter, wait_premises,
 )
 from .qbf import Qbf, StrategyNode, check_strategy_tree
 from .reduction import reduce_to_cl4
@@ -241,16 +241,20 @@ def _replay(f: Formula, dec: _Dec, i: int = 0,
     if dec.split is not None or i != len(dec.choices):
         raise BridgeError(f"level {level}: proof branches where the sentence "
                           f"does not")
-    move = first_match_move(f)
-    if move is not None:
-        return ProofNode(f, move, (_replay(apply_move(f, move), dec, i, level),))
-    if not is_stable(f):
+    index = _SurfaceIndex(f)
+    moves, states = canonical_matches(f, index)
+    chain = [f] + states
+    if not is_stable(chain[-1]):
         raise BridgeError(f"level {level}: endgame state is unstable: "
-                          f"{render_formula(f)}")
-    if wait_premises(f):
+                          f"{render_formula(chain[-1])}")
+    # matching leaves the surface choices in place, so index still holds them
+    if wait_premises(chain[-1], index):
         raise BridgeError(f"level {level}: endgame state waits on premises: "
-                          f"{render_formula(f)}")
-    return ProofNode(f, WAIT, ())
+                          f"{render_formula(chain[-1])}")
+    node = ProofNode(chain[-1], WAIT, ())
+    for k in range(len(moves) - 1, -1, -1):
+        node = ProofNode(chain[k], moves[k], (node,))
+    return node
 
 
 def _replay_commit(f: Formula, dec: _Dec, bit: int,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 
 class FormulaError(Exception):
@@ -269,15 +269,16 @@ def surface_occurrences(f: Formula, types=None) -> list[tuple[Path, Formula]]:
 # queries
 
 class Facts:
-    """Whole-formula summary, filled by one pre-order walk on first use.
+    """Whole-formula summary, filled by one pre-order walk on first use, or
+    derived by a rule from the summary of the formula it came from.
 
     letters holds the first LetterId met for each (sort, name), in
     first-occurrence order, and counts the occurrences of each; clash is the
     message for the first arity clash, or None.  bound, free and consts are
     the bound variables, free variables and constants, as tuples without
     repeats.  choices counts choice operators and generals general-atom
-    occurrences.  valid records that validate_formula has passed the node.
-    Nodes are immutable, so a summary never goes stale.
+    occurrences.  valid records that the node is known to pass
+    validate_formula.  Nodes are immutable, so a summary never goes stale.
     """
 
     __slots__ = ("letters", "counts", "clash", "bound", "free", "consts",
@@ -330,14 +331,86 @@ class Facts:
         self.generals = generals
         self.valid = False
 
+    def _copy(self) -> Facts:
+        s = Facts.__new__(Facts)
+        s.letters, s.counts, s.clash = self.letters, self.counts, self.clash
+        s.bound, s.free, s.consts = self.bound, self.free, self.consts
+        s.choices, s.generals, s.valid = self.choices, self.generals, self.valid
+        return s
+
+    def chosen(self, var: str, term: Term, occurs: bool) -> Facts:
+        """The summary after a choice quantifier on var gives way to its body
+        on term; occurs tells whether var occurred in the body.  Binders are
+        unique in a valid formula, so var goes from bound and the term joins
+        free or consts only where it replaced var.  The caller has checked
+        that the term is a natural or a variable not bound in the formula;
+        the result is valid unless a variable term is no variable name."""
+        s = self._copy()
+        s.bound = tuple(v for v in self.bound if v != var)
+        if occurs:
+            if isinstance(term, Constant):
+                if term.value not in self.consts:
+                    s.consts = self.consts + (term.value,)
+            elif term.name not in self.free:
+                s.free = self.free + (term.name,)
+        s.choices -= 1
+        s.valid = self.valid and (isinstance(term, Constant) or is_variable_name(term.name))
+        return s
+
+    def matched(self, letter: LetterId, fresh: LetterId) -> Optional[Facts]:
+        """The summary after the two occurrences of a general letter are
+        matched into the fresh letter, which takes the letter's place in
+        first-occurrence order.  None unless the letter occurs exactly
+        twice: a letter that keeps occurrences may move in that order."""
+        for i, lid in enumerate(self.letters):
+            if lid.name == letter.name and lid.sort == GENERAL:
+                if self.counts[i] != 2:
+                    return None
+                s = self._copy()
+                s.letters = self.letters[:i] + (fresh,) + self.letters[i + 1:]
+                s.generals -= 2
+                return s
+        return None
+
+
+# the summary a rule leaves on a node it derived from a valid formula when it
+# derives no fields: only valid is set, and facts() walks the node on first use
+VALID_MARK = Facts.__new__(Facts)
+VALID_MARK.valid = True
+
 
 def facts(f: Formula) -> Facts:
     try:
-        return f._facts
+        s = f._facts
     except AttributeError:
-        s = Facts(f)
+        s = None
+    if s is None or s is VALID_MARK:
+        walked = Facts(f)
+        walked.valid = s is not None
+        object.__setattr__(f, "_facts", walked)
+        return walked
+    return s
+
+
+def known_facts(f: Formula) -> Optional[Facts]:
+    """The summary f carries without a walk: a walked or derived Facts, the
+    bare mark of a node known valid (only its valid field is set), or None."""
+    return getattr(f, "_facts", None)
+
+
+def carry_facts(f: Formula, s: Facts) -> None:
+    """Give f a summary derived by a rule, unless it already has one (a
+    derived formula may be a subtree its parent shares)."""
+    if not hasattr(f, "_facts"):
         object.__setattr__(f, "_facts", s)
-        return s
+
+
+def carry_validity(parent: Formula, f: Formula) -> None:
+    """Mark f, which a rule derived from parent, valid when parent is known
+    to be valid."""
+    known = known_facts(parent)
+    if known is not None and known.valid:
+        carry_facts(f, VALID_MARK)
 
 
 def free_variables(f: Formula) -> set[str]:
@@ -384,29 +457,36 @@ def is_elementary(f: Formula) -> bool:
 def substitute_var(f: Formula, var: str, term: Term) -> Formula:
     """Replace every free occurrence of var by term.
 
-    Raises SubstitutionError if var is bound somewhere in f, or if term is a
-    variable that is bound somewhere in f (which would capture it).
+    Raises SubstitutionError if var is bound somewhere in f, or else if term
+    is a variable that is bound somewhere in f (which would capture it).  The
+    walk that substitutes reads the binders too.
     """
-    bound = bound_variables(f)
-    if var in bound:
-        raise SubstitutionError(f"variable {var} is bound in the formula")
-    if isinstance(term, Variable) and term.name in bound:
-        raise SubstitutionError(f"term variable {term.name} is bound in the formula")
+    captor = term.name if isinstance(term, Variable) else None
+    captured = False
 
     def walk(node):
+        nonlocal captured
         if isinstance(node, Atom):
             if not any(isinstance(t, Variable) and t.name == var for t in node.args):
                 return node
             args = tuple(term if isinstance(t, Variable) and t.name == var else t
                          for t in node.args)
             return Atom(node.letter, args, node.negated)
+        if isinstance(node, _QUANT):
+            if node.var == var:
+                raise SubstitutionError(f"variable {var} is bound in the formula")
+            if node.var == captor:
+                captured = True  # reported once the walk has found no binder of var
         kids = children(node)
         new = tuple(walk(k) for k in kids)
         if all(a is b for a, b in zip(new, kids)):
             return node  # var does not occur below: share the subtree
         return with_children(node, new)
 
-    return walk(f)
+    out = walk(f)
+    if captured:
+        raise SubstitutionError(f"term variable {captor} is bound in the formula")
+    return out
 
 
 # ---------------------------------------------------------------------------

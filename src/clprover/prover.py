@@ -21,6 +21,7 @@ reads the surface.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -30,9 +31,10 @@ from .elementary import is_stable, is_stable_matched
 from .formula import (
     Atom, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, Formula, FormulaError,
     GENERAL, ELEMENTARY, LetterId, ParAnd, ParOr, Path, Term, Variable,
-    bound_variables, constants, facts, free_variables, has_general,
-    is_letter_name, is_variable_name, letter_names, parse_formula,
-    render_formula, replace_at, substitute_var, validate_formula,
+    VALID_MARK, bound_variables, carry_facts, carry_validity, constants,
+    facts, free_variables, has_general, is_letter_name, is_variable_name,
+    known_facts, letter_names, parse_formula, render_formula, replace_at,
+    substitute_var, validate_formula,
 )
 
 
@@ -146,10 +148,13 @@ def fresh_match_letter(f: Formula, letter: LetterId) -> LetterId:
     """Deterministic fresh elementary letter for matching `letter`: the
     lowercased name (guarded against the variable lexeme class and reserved
     words) with the first unused numeric suffix."""
+    return _fresh_letter(letter, letter_names(f))
+
+
+def _fresh_letter(letter: LetterId, used: set[str]) -> LetterId:
     base = letter.name.lower()
     if not is_letter_name(base):
         base += "q"
-    used = letter_names(f)
     k = 0
     while f"{base}{k}" in used:
         k += 1
@@ -203,6 +208,9 @@ def wait_premises(f: Formula, index: Optional[_SurfaceIndex] = None
         elif isinstance(node, ChoAll):
             w = Variable(fresh_wait_variable(f))
             prems.append(replace_at(f, path, substitute_var(node.body, node.var, w)))
+    for p in prems:
+        # its own facts wait for a query, which a memoized verdict never makes
+        carry_validity(f, p)
     return prems
 
 
@@ -218,14 +226,20 @@ def _resolve_surface(f: Formula, path: Path) -> Formula:
 
 
 def apply_move(f: Formula, move: Move) -> Formula:
-    """Result of a single move on f; raises MoveError when inapplicable."""
+    """Result of a single move on f; raises MoveError when inapplicable.
+
+    When f is known to be valid, the result is marked valid too, and a
+    choose-term or a match on a letter's only two occurrences hands it the
+    Facts derived from those of f instead of leaving them to a walk."""
     if isinstance(move, ChooseDisjunct):
         node = _resolve_surface(f, move.path)
         if not isinstance(node, ChoOr):
             raise MoveError(f"no surface choice disjunction at path {list(move.path)}")
         if not 0 <= move.index < len(node.operands):
             raise MoveError(f"disjunct index {move.index} out of range")
-        return replace_at(f, move.path, node.operands[move.index])
+        g = replace_at(f, move.path, node.operands[move.index])
+        carry_validity(f, g)
+        return g
 
     if isinstance(move, ChooseTerm):
         node = _resolve_surface(f, move.path)
@@ -240,7 +254,15 @@ def apply_move(f: Formula, move: Move) -> Formula:
                 raise MoveError(f"term variable {t.name} occurs bound in the formula")
         else:
             raise MoveError(f"bad term {t!r}")
-        return replace_at(f, move.path, substitute_var(node.body, node.var, t))
+        body = substitute_var(node.body, node.var, t)
+        g = replace_at(f, move.path, body)
+        known = known_facts(f)
+        if known is not None and known.valid:
+            if known is not VALID_MARK:
+                carry_facts(g, known.chosen(node.var, t, body is not node.body))
+            elif isinstance(t, Constant):  # a variable term had f walked above
+                carry_validity(f, g)
+        return g
 
     if isinstance(move, MatchPair):
         pos = _resolve_surface(f, move.pos_path)
@@ -261,7 +283,14 @@ def apply_move(f: Formula, move: Move) -> Formula:
         if fresh.name in letter_names(f):
             raise MoveError(f"fresh letter {fresh.name} already occurs")
         g = replace_at(f, move.pos_path, Atom(fresh, pos.args, False))
-        return replace_at(g, move.neg_path, Atom(fresh, neg.args, True))
+        g = replace_at(g, move.neg_path, Atom(fresh, neg.args, True))
+        known = facts(f)  # walked by letter_names above
+        derived = known.matched(pos.letter, fresh) if known.valid else None
+        if derived is not None:
+            carry_facts(g, derived)
+        else:
+            carry_validity(f, g)
+        return g
 
     raise MoveError(f"not a move: {move!r}")
 
@@ -320,14 +349,36 @@ def enumerate_moves(f: Formula, config: ProverConfig,
 # ---------------------------------------------------------------------------
 # search
 
-def first_match_move(f: Formula) -> Optional[MatchPair]:
-    """The canonical next match: the first letter (in surface occurrence
-    order) with both polarities present, pairing its first positive and
-    first negative occurrence.  None when nothing is matchable."""
-    for letter, pp, np in _SurfaceIndex(f).letters:
-        if pp and np:
-            return MatchPair(pp[0], np[0], fresh_match_letter(f, letter))
-    return None
+def canonical_matches(f: Formula, index: Optional[_SurfaceIndex] = None
+                      ) -> tuple[list[MatchPair], list[Formula]]:
+    """Every canonical match from f on, and the formula after each.
+
+    Each next match is on the letter whose first remaining surface
+    occurrence comes first among the letters that still have both
+    polarities, and pairs its first remaining positive and negative
+    occurrences.  Matching leaves every path in place and only adds fresh
+    elementary names, so the surface index and the letter names of f serve
+    every step."""
+    index = index or _SurfaceIndex(f)
+    used = letter_names(f)
+    # per letter with both polarities: its first remaining occurrence, its
+    # position in index.letters, and how many of its pairs are matched
+    queue = [(min(pp[0], np[0]), i, 0)
+             for i, (_, pp, np) in enumerate(index.letters) if pp and np]
+    heapq.heapify(queue)
+    moves: list[MatchPair] = []
+    states: list[Formula] = []
+    while queue:
+        _, i, k = heapq.heappop(queue)
+        letter, pp, np = index.letters[i]
+        fresh = _fresh_letter(letter, used)
+        used.add(fresh.name)
+        moves.append(MatchPair(pp[k], np[k], fresh))
+        f = apply_move(f, moves[-1])
+        states.append(f)
+        if k + 1 < len(pp) and k + 1 < len(np):
+            heapq.heappush(queue, (min(pp[k + 1], np[k + 1]), i, k + 1))
+    return moves, states
 
 
 def _forced_match_move(f: Formula, index: Optional[_SurfaceIndex] = None

@@ -343,13 +343,15 @@ def ref_first_match_move(f: Formula):
                      fresh_match_letter(f, target))
 
 
-def ref_match_all(f: Formula) -> Formula:
-    """f after every canonical match, one move at a time."""
+def ref_match_all(f: Formula) -> tuple[Formula, list[MatchPair]]:
+    """f after every canonical match, one move at a time, and the moves."""
+    moves = []
     move = ref_first_match_move(f)
     while move is not None:
+        moves.append(move)
         f = apply_move(f, move)
         move = ref_first_match_move(f)
-    return f
+    return f, moves
 
 
 def ref_wait_premises(f: Formula) -> list[Formula]:

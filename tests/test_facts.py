@@ -3,7 +3,9 @@ walks they replaced.
 
 Every query that reads Facts or a _SurfaceIndex must answer exactly what its
 reference walk in conftest.py answers, on random formulas and on the states
-the search and the substitution derive from them.
+the search and the substitution derive from them.  Facts that a rule hands
+to its result must equal a fresh walk of the result, and the endgame's
+matches must be those of one reference match at a time.
 """
 
 import random
@@ -20,15 +22,17 @@ from conftest import (
 )
 from clprover.elementary import is_stable, is_stable_matched
 from clprover.formula import (
-    Atom, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, ELEMENTARY, FormulaError,
-    GENERAL, LetterId, ParAnd, ParOr, SubstitutionError, Variable,
-    bound_variables, constants, facts, free_variables, has_choice,
-    has_general, is_elementary, letter_names, letter_table, parse_formula,
-    render_formula, replace_at, subformulas, substitute_var, validate_formula,
+    VALID_MARK, Atom, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, ELEMENTARY,
+    Facts, FormulaError, GENERAL, LetterId, ParAnd, ParOr, SubstitutionError,
+    Variable, bound_variables, constants, facts, free_variables, has_choice,
+    has_general, is_elementary, known_facts, letter_names, letter_table,
+    parse_formula, render_formula, replace_at, resolve_path, subformulas,
+    substitute_var, validate_formula,
 )
 from clprover.prover import (
-    MatchPair, ProverConfig, _Search, _SurfaceIndex, _forced_match_move,
-    apply_move, enumerate_moves, first_match_move, measure, wait_premises,
+    ChooseTerm, MatchPair, MoveError, ProverConfig, _Search, _SurfaceIndex,
+    _forced_match_move, apply_move, canonical_matches, enumerate_moves,
+    measure, wait_premises,
 )
 
 
@@ -77,8 +81,24 @@ def assert_queries_match(f):
     assert letter_names(f) == {name for _, name in table}
     assert [m for m in enumerate_moves(f, ProverConfig())
             if isinstance(m, MatchPair)] == ref_match_moves(f)
-    assert first_match_move(f) == ref_first_match_move(f)
+    assert_endgame_matches(f)
     assert _forced_match_move(f) == ref_forced_match_move(f)
+
+
+def assert_endgame_matches(f):
+    """canonical_matches plays the same matches as ref_first_match_move one
+    step at a time, and reaches the same formula; returns the letters it
+    matched."""
+    moves, states = canonical_matches(f)
+    final, ref_moves = ref_match_all(f)
+    assert moves == ref_moves
+    assert (states[-1] if states else f) == final
+    assert (moves[0] if moves else None) == ref_first_match_move(f)
+    g = f
+    for move, state in zip(moves, states):
+        g = apply_move(g, move)
+        assert state == g
+    return [resolve_path(f, m.pos_path).letter.name for m in moves]
 
 
 @settings(max_examples=150, deadline=None)
@@ -207,6 +227,121 @@ def test_choiceless_verdict_matches_stability_after_matching(seed):
                    if isinstance(a, Atom) and a.letter.sort == GENERAL]
     assert known == (len(occurrences) == len(set(occurrences)))
     if known:
-        assert verdict == is_stable(ref_match_all(f))
+        assert verdict == is_stable(ref_match_all(f)[0])
         pairs = {n for n, neg in occurrences if neg} & {n for n, neg in occurrences if not neg}
         assert is_stable_matched(f, pairs) == verdict
+
+
+@pytest.mark.parametrize("text, letters", [
+    # P keeps a pair after its first match, and its first remaining
+    # occurrence then lies past Q's, so Q goes next
+    ("P /\\ Q /\\ ~P /\\ ~Q /\\ P /\\ ~P", ["P", "Q", "P"]),
+    ("~R(0) \\/ (P \\/ R(1)) \\/ (~P /\\ P) \\/ ~P \\/ q", ["R", "P", "P"]),
+    ("(P cor Q) \\/ Q \\/ ~Q \\/ ~Q", ["Q"]),
+])
+def test_endgame_matches_in_canonical_order(text, letters):
+    f = parse_formula(text)
+    assert assert_endgame_matches(f) == letters
+
+
+def test_endgame_matches_one_step_at_a_time():
+    kept = moved = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        f = random_choiceless(rng, rng.randint(2, 12)) if seed % 2 else \
+            random_formula(rng, budget=rng.randint(4, 12))
+        names = assert_endgame_matches(f)
+        kept += len(names) != len(set(names))
+        # a letter matched again after another letter that first occurred
+        # later in f: its first remaining occurrence moved past the other's
+        first = {}
+        for path, node in subformulas(f):
+            if isinstance(node, Atom) and node.letter.sort == GENERAL:
+                first.setdefault(node.letter.name, path)
+        moved += any(first[a] < first[b] for i, a in enumerate(names)
+                     for b in names[:i] if a != b and a in names[:i])
+    assert kept and moved
+
+
+# ---------------------------------------------------------------------------
+# facts a rule derives
+
+ODD_TERMS = (Variable("X1"), Variable("v7"), Constant(9), Constant(0))
+
+
+def _general_count(f, name):
+    return sum(1 for _, n in subformulas(f)
+               if isinstance(n, Atom) and n.letter.sort == GENERAL and n.letter.name == name)
+
+
+def assert_derived_facts(g, parent_valid):
+    """The summary a rule left on g, before anything walked g: derived
+    fields equal a fresh walk, and valid is claimed only for a formula that
+    validates.  Returns whether g received derived fields."""
+    s = known_facts(g)
+    if parent_valid:
+        assert s is not None  # the rule kept the knowledge that g is valid
+    if s is None:
+        return False
+    if s.valid:
+        validate_formula(parse_formula(render_formula(g)))
+    if s is VALID_MARK:
+        return False
+    walked = Facts(g)
+    assert s.letters == walked.letters  # first-occurrence order
+    assert s.counts == walked.counts
+    assert s.clash == walked.clash
+    for name in ("bound", "free", "consts"):
+        have, want = getattr(s, name), getattr(walked, name)
+        assert len(have) == len(set(have)) and set(have) == set(want), name
+    assert s.choices == walked.choices
+    assert s.generals == walked.generals
+    return True
+
+
+def test_derived_facts_equal_a_fresh_walk():
+    seen = dict.fromkeys(("chosen", "chosen unused", "odd term used", "matched",
+                          "match kept occurrences", "premise", "premise chosen"), 0)
+    for seed in range(600):
+        rng = random.Random(seed)
+        f = random_formula(rng, budget=rng.randint(5, 12), closed=seed % 3 == 0)
+        for _ in range(8):
+            valid = known_facts(f) is not None and known_facts(f).valid
+            steps = [(m, True) for m in enumerate_moves(f, ProverConfig())]
+            steps += [(ChooseTerm(p, t), False) for p, n in _SurfaceIndex(f).choices
+                      if isinstance(n, ChoEx) for t in ODD_TERMS]
+            prems = wait_premises(f)
+            if prems and (not steps or rng.random() < 0.3):
+                for p in prems:
+                    assert_derived_facts(p, valid)
+                    # a choose-term on a premise nothing has walked yet
+                    for path, n in _SurfaceIndex(p).choices:
+                        if isinstance(n, ChoEx):
+                            g = apply_move(p, ChooseTerm(path, Constant(0)))
+                            assert_derived_facts(g, valid)
+                            seen["premise chosen"] += 1
+                            break
+                seen["premise"] += 1
+                f = rng.choice(prems)
+                continue
+            if not steps:
+                break
+            move, pooled = rng.choice(steps)
+            try:
+                g = apply_move(f, move)
+            except MoveError:  # an odd term bound in f
+                continue
+            derived = assert_derived_facts(g, valid and pooled)
+            if isinstance(move, ChooseTerm):
+                q = resolve_path(f, move.path)
+                occurs = q.var in free_variables(q.body)
+                seen["chosen"] += derived
+                seen["chosen unused"] += derived and not occurs
+                seen["odd term used"] += occurs and move.term == Variable("X1")
+            elif isinstance(move, MatchPair):
+                total = _general_count(f, resolve_path(f, move.pos_path).letter.name)
+                seen["matched"] += derived
+                seen["match kept occurrences"] += total > 2
+                assert derived == (valid and total == 2)
+            f = g
+    assert all(seen.values()), seen

@@ -200,6 +200,24 @@ def test_substitute_rejects_bound_targets():
         substitute_var(g, "x", Variable("y"))
 
 
+@pytest.mark.parametrize("text, var, term, message", [
+    ("call x: p(x)", "x", Constant(0), "variable x is bound in the formula"),
+    ("p(x) /\\ call y: q(y)", "x", Variable("y"),
+     "term variable y is bound in the formula"),
+    # both are bound: var is reported, wherever the walk meets its binder
+    ("call x: (p(x) /\\ call y: q(y))", "x", Variable("y"),
+     "variable x is bound in the formula"),
+    ("(call y: q(y)) /\\ call x: p(x)", "x", Variable("y"),
+     "variable x is bound in the formula"),
+    ("call y: (q(y) \\/ cex x: p(x))", "x", Variable("y"),
+     "variable x is bound in the formula"),
+])
+def test_substitute_reports_the_bound_variable_first(text, var, term, message):
+    with pytest.raises(SubstitutionError) as err:
+        substitute_var(parse_formula(text), var, term)
+    assert str(err.value) == message
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**9))
 def test_substitute_keeps_the_skeleton(seed):

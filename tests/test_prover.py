@@ -298,6 +298,16 @@ def test_check_rejects_tampered_premise():
     assert not res.ok and any("premise" in d for d in res.diagnostics)
 
 
+def test_check_rejects_a_term_variable_that_is_no_variable():
+    # apply_move admits the term, but its result is not a valid formula: the
+    # facts the move carries to it must not claim that it is
+    f = parse_formula("cex x: (p(x) \\/ ~p(x))")
+    move = ChooseTerm((), Variable("X1"))
+    proof = ProofNode(f, move, (ProofNode(apply_move(f, move), WAIT, ()),))
+    res = check_proof(proof)
+    assert res.diagnostics == ["root.0: bad conclusion: invalid variable name 'X1'"]
+
+
 def test_check_diagnostics_locate_the_node():
     f = parse_formula("p cand (q cand q)")
     good = prove(parse_formula("p cand (T cand T)"))
