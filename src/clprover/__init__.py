@@ -5,15 +5,14 @@ from .formula import (
     Atom, BOT, Bot, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, Formula,
     FormulaError, LetterId, ParAnd, ParOr, ParseError, Path, PathError,
     SubstitutionError, TOP, Term, Top, Variable, parse_formula,
-    render_formula, substitute_var, surface_occurrences, validate_formula,
+    render_formula, substitute_var, validate_formula,
 )
 from .elementary import elementarize, evaluate, is_stable, is_valid_classical
 from .prover import (
-    CheckResult, ChooseDisjunct, ChooseTerm, DepthLimitError, Logic,
-    MatchPair, Move, MoveError, ProofNode, ProverConfig, ProverError,
-    SearchStats, TermPool, WAIT, Wait, apply_move, check_proof,
-    enumerate_moves, measure, proof_from_json, proof_to_json, prove,
-    prove_with_stats, wait_premises,
+    CheckResult, ChooseDisjunct, ChooseTerm, Logic, MatchPair, Move,
+    MoveError, ProofNode, ProverConfig, ProverError, SearchStats, TermPool,
+    WAIT, Wait, apply_move, check_proof, enumerate_moves, measure,
+    proof_from_json, proof_to_json, prove, prove_with_stats, wait_premises,
 )
 from .qbf import (
     Lit, Qbf, QbfError, Quantifier, StrategyNode, check_strategy_tree,

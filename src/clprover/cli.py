@@ -23,7 +23,8 @@ from .prover import (
 from .qbf import (
     Qbf, QbfError, check_strategy_tree, eval_qbf, exhaustive_unary_corpus,
     parse_qbf, play_path, random_corpus, render_qbf, render_qdimacs,
-    strategy_from_json, strategy_to_json, winning_strategy_tree,
+    strategy_from_json, strategy_to_dict, strategy_to_json,
+    winning_strategy_tree,
 )
 from .reduction import reduce_to_cl3, reduce_to_cl4
 
@@ -53,8 +54,6 @@ def _config(args) -> ProverConfig:
     return ProverConfig(
         logic=Logic(args.logic),
         term_pool=TermPool(args.term_pool),
-        memoization=not args.no_memo,
-        depth_limit=args.depth_limit,
     )
 
 
@@ -152,7 +151,7 @@ def cmd_strategy_extract(args) -> int:
     if args.json:
         print(json.dumps({
             "winning": tree is not None,
-            "strategy": json.loads(strategy_to_json(tree)) if tree else None,
+            "strategy": strategy_to_dict(tree) if tree else None,
         }, ensure_ascii=False, indent=2))
     elif tree is None:
         print("sentence is false: no winning strategy")
@@ -381,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_logic_flag(p)
     p.add_argument("--term-pool", choices=[t.value for t in TermPool],
                    default=TermPool.OCCURRING_PLUS_FRESH.value)
-    p.add_argument("--no-memo", action="store_true")
-    p.add_argument("--depth-limit", type=int, default=None)
     p.add_argument("--proof-out", dest="out", help="write the proof JSON here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_prove)

@@ -224,16 +224,6 @@ def subformulas(f: Formula) -> Iterator[tuple[Path, Formula]]:
             stack.append((path + (i,), kids[i]))
 
 
-def resolve_path(f: Formula, path: Path) -> Formula:
-    node = f
-    for i in path:
-        kids = children(node)
-        if not 0 <= i < len(kids):
-            raise PathError(f"path {list(path)} does not address a subformula")
-        node = kids[i]
-    return node
-
-
 def replace_at(f: Formula, path: Path, sub: Formula) -> Formula:
     if not path:
         return sub
@@ -243,26 +233,6 @@ def replace_at(f: Formula, path: Path, sub: Formula) -> Formula:
         raise PathError(f"path {list(path)} does not address a subformula")
     new = kids[:i] + (replace_at(kids[i], path[1:], sub),) + kids[i + 1:]
     return with_children(f, new)
-
-
-def surface_occurrences(f: Formula, types=None) -> list[tuple[Path, Formula]]:
-    """Surface occurrences, pre-order.
-
-    types, when given, is a class or tuple of classes to filter by.  Only
-    parallel connectives are descended through: anything under a choice
-    operator is not surface.
-    """
-    out = []
-
-    def walk(node, path):
-        if types is None or isinstance(node, types):
-            out.append((path, node))
-        if isinstance(node, _PARALLEL):
-            for i, kid in enumerate(node.operands):
-                walk(kid, path + (i,))
-
-    walk(f, ())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +405,6 @@ def letter_table(f: Formula) -> dict[tuple[str, str], int]:
 
 def letter_names(f: Formula) -> set[str]:
     return {name for _, name in letter_table(f)}
-
-
-def has_choice(f: Formula) -> bool:
-    return facts(f).choices > 0
 
 
 def has_general(f: Formula) -> bool:

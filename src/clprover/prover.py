@@ -50,10 +50,6 @@ class GoalError(ProverError):
     """Goal outside the logic (cl3 with general letters)."""
 
 
-class DepthLimitError(ProverError):
-    pass
-
-
 class ProofFormatError(ProverError):
     """Proof JSON that does not follow the documented shape."""
 
@@ -110,8 +106,6 @@ class ProofNode:
 class ProverConfig:
     logic: Logic = Logic.CL4
     term_pool: TermPool = TermPool.OCCURRING_PLUS_FRESH
-    memoization: bool = True
-    depth_limit: Optional[int] = None
 
 
 @dataclass
@@ -381,8 +375,7 @@ def canonical_matches(f: Formula, index: Optional[_SurfaceIndex] = None
     return moves, states
 
 
-def _forced_match_move(f: Formula, index: Optional[_SurfaceIndex] = None
-                       ) -> Optional[MatchPair]:
+def _forced_match_move(f: Formula, index: _SurfaceIndex) -> Optional[MatchPair]:
     """A match both of whose atoms are their letter's only occurrences in f.
 
     Matching such a pair right away never loses a proof: the two atoms sit
@@ -397,17 +390,15 @@ def _forced_match_move(f: Formula, index: Optional[_SurfaceIndex] = None
         return None
     total = {lid.name: n for lid, n in zip(s.letters, s.counts)
              if lid.sort == GENERAL}
-    for letter, pp, np in (index or _SurfaceIndex(f)).letters:
+    for letter, pp, np in index.letters:
         if pp and np and total[letter.name] == 2:
             return MatchPair(pp[0], np[0], fresh_match_letter(f, letter))
     return None
 
 
 class _Search:
-    def __init__(self, goal: Formula, config: ProverConfig):
+    def __init__(self, config: ProverConfig):
         self.config = config
-        self.limit = config.depth_limit if config.depth_limit is not None \
-            else measure(goal) + 1
         self.memo: dict[str, bool] = {}
         self.stable_memo: dict[str, bool] = {}
         self.stats = SearchStats()
@@ -421,17 +412,15 @@ class _Search:
         return v
 
     def decide(self, f: Formula, depth: int) -> bool:
-        if depth > self.limit:
-            raise DepthLimitError(f"proof search exceeded depth limit {self.limit}")
         if depth > self.stats.max_depth:
             self.stats.max_depth = depth
         key = render_formula(f)
-        if self.config.memoization and key in self.memo:
+        verdict = self.memo.get(key)
+        if verdict is not None:
             self.stats.memo_hits += 1
-            return self.memo[key]
+            return verdict
         verdict = self._decide_state(f, key, depth)
-        if self.config.memoization:
-            self.memo[key] = verdict
+        self.memo[key] = verdict
         return verdict
 
     def _decide_state(self, f: Formula, key: str, depth: int) -> bool:
@@ -469,8 +458,7 @@ class _Search:
         self.stats.pruned_terms += len(moves) - len(kept)
         return kept
 
-    def _choiceless_verdict(self, f: Formula, key: str,
-                            index: Optional[_SurfaceIndex] = None
+    def _choiceless_verdict(self, f: Formula, key: str, index: _SurfaceIndex
                             ) -> tuple[bool, bool]:
         # A choiceless formula whose general letters each have at most one
         # occurrence per polarity is provable exactly when matching every
@@ -479,7 +467,7 @@ class _Search:
         # the match rule the verdict is plain stability.
         if self.config.logic is Logic.CL3:
             return True, self._stable(f, key)
-        letters = (index or _SurfaceIndex(f)).letters
+        letters = index.letters
         if any(len(pp) > 1 or len(np) > 1 for _, pp, np in letters):
             return False, False
         self.stats.stable_checks += 1
@@ -507,7 +495,7 @@ def prove_with_stats(f: Formula, config: Optional[ProverConfig] = None
     validate_formula(f)
     if config.logic is Logic.CL3 and has_general(f):
         raise GoalError("cl3 goals must not contain general letters")
-    search = _Search(f, config)
+    search = _Search(config)
     if not search.decide(f, 1):
         return None, search.stats
     proof = search.build(f, 1)

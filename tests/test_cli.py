@@ -12,7 +12,9 @@ import clprover
 from clprover.cli import main
 from clprover.formula import parse_formula, render_formula
 from clprover.prover import check_proof, proof_from_json
-from clprover.qbf import parse_qbf, render_qdimacs
+from clprover.qbf import (
+    parse_qbf, render_qdimacs, strategy_to_dict, winning_strategy_tree,
+)
 from clprover.reduction import reduce_to_cl4
 
 TRUE_Q = "exists x : (x | x | x)"
@@ -120,14 +122,21 @@ def test_check_accepts_and_rejects(capsys, tmp_path):
     assert code == 1 and "cl3" in out
 
 
-def test_check_rejects_search_flags(capsys, tmp_path):
-    # check replays a given proof: the search flags of prove mean nothing there
+@pytest.mark.parametrize("argv", [
+    ("check", "--no-memo"),
+    ("prove", "--no-memo"),
+    ("prove", "--depth-limit", "3"),
+], ids=["check-no-memo", "prove-no-memo", "prove-depth-limit"])
+def test_check_rejects_search_flags(capsys, tmp_path, argv):
+    # check replays a given proof, and prove's search always memoizes and
+    # needs no depth limit: neither command takes those flags
     target = tmp_path / "proof.json"
     run(capsys, "prove", "--formula", "T", "--proof-out", str(target))
+    source = ["--proof", str(target)] if argv[0] == "check" else ["--formula", "T"]
     with pytest.raises(SystemExit) as info:
-        main(["check", "--proof", str(target), "--no-memo"])
+        main([argv[0], *source, *argv[1:]])
     assert info.value.code == 2
-    assert "unrecognized arguments: --no-memo" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +213,15 @@ def test_strategy_pipeline(capsys, tmp_path):
     assert code == 0
     code, out, _ = run(capsys, "check", "--proof", str(proof))
     assert code == 0 and "proof is valid" in out
+
+
+def test_strategy_extract_json(capsys):
+    code, out, _ = run(capsys, "strategy", "extract", "--qbf", TRIPLE_Q, "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["winning"] is True
+    tree = winning_strategy_tree(parse_qbf(TRIPLE_Q))
+    assert report["strategy"] == strategy_to_dict(tree)
 
 
 def test_strategy_extract_false_sentence(capsys):

@@ -12,7 +12,7 @@ from clprover.elementary import (
 )
 from clprover.formula import (
     Atom, BOT, Constant, ELEMENTARY, LetterId, ParAnd, ParOr, TOP,
-    has_choice, has_general, letter_names, parse_formula,
+    is_elementary, letter_names, parse_formula,
 )
 
 
@@ -43,7 +43,7 @@ def test_elementarize_stops_at_choice_boundaries():
 def test_elementarize_idempotent_and_choiceless(seed):
     f = random_formula(random.Random(seed), budget=7)
     e = elementarize(f)
-    assert not has_choice(e) and not has_general(e)
+    assert is_elementary(e)
     assert elementarize(e) == e
 
 

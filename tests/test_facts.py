@@ -24,15 +24,14 @@ from clprover.elementary import is_stable, is_stable_matched
 from clprover.formula import (
     VALID_MARK, Atom, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, ELEMENTARY,
     Facts, FormulaError, GENERAL, LetterId, ParAnd, ParOr, SubstitutionError,
-    Variable, bound_variables, constants, facts, free_variables, has_choice,
-    has_general, is_elementary, known_facts, letter_names, letter_table,
-    parse_formula, render_formula, replace_at, resolve_path, subformulas,
-    substitute_var, validate_formula,
+    Variable, bound_variables, constants, facts, free_variables, has_general,
+    is_elementary, known_facts, letter_names, letter_table, parse_formula,
+    render_formula, replace_at, subformulas, substitute_var, validate_formula,
 )
 from clprover.prover import (
     ChooseTerm, MatchPair, MoveError, ProverConfig, _Search, _SurfaceIndex,
-    _forced_match_move, apply_move, canonical_matches, enumerate_moves,
-    measure, wait_premises,
+    _forced_match_move, _resolve_surface, apply_move, canonical_matches,
+    enumerate_moves, measure, wait_premises,
 )
 
 
@@ -40,7 +39,7 @@ def assert_surface_matches(f):
     index = _SurfaceIndex(f)
     assert index.choices == ref_surface(f, (ChoAnd, ChoOr, ChoAll, ChoEx))
     # the search tells choiceless states by the surface alone
-    assert bool(index.choices) == has_choice(f) == ref_has_choice(f)
+    assert bool(index.choices) == (facts(f).choices > 0) == ref_has_choice(f)
     gens = ref_surface_general_atoms(f)
     letters = []
     for _, a in gens:
@@ -65,7 +64,7 @@ def assert_queries_match(f):
     assert free_variables(f) == ref_free_variables(f)
     assert bound_variables(f) == ref_bound_variables(f)
     assert constants(f) == ref_constants(f)
-    assert has_choice(f) == ref_has_choice(f)
+    assert (facts(f).choices > 0) == ref_has_choice(f)
     assert has_general(f) == ref_has_general(f)
     assert is_elementary(f) == (not ref_has_choice(f) and not ref_has_general(f))
     assert measure(f) == ref_measure(f)
@@ -82,7 +81,7 @@ def assert_queries_match(f):
     assert [m for m in enumerate_moves(f, ProverConfig())
             if isinstance(m, MatchPair)] == ref_match_moves(f)
     assert_endgame_matches(f)
-    assert _forced_match_move(f) == ref_forced_match_move(f)
+    assert _forced_match_move(f, _SurfaceIndex(f)) == ref_forced_match_move(f)
 
 
 def assert_endgame_matches(f):
@@ -98,7 +97,7 @@ def assert_endgame_matches(f):
     for move, state in zip(moves, states):
         g = apply_move(g, move)
         assert state == g
-    return [resolve_path(f, m.pos_path).letter.name for m in moves]
+    return [_resolve_surface(f, m.pos_path).letter.name for m in moves]
 
 
 @settings(max_examples=150, deadline=None)
@@ -221,7 +220,7 @@ def random_choiceless(rng: random.Random, budget: int):
 def test_choiceless_verdict_matches_stability_after_matching(seed):
     rng = random.Random(seed)
     f = random_choiceless(rng, rng.randint(2, 9))
-    known, verdict = _Search(f, ProverConfig())._choiceless_verdict(
+    known, verdict = _Search(ProverConfig())._choiceless_verdict(
         f, render_formula(f), _SurfaceIndex(f))
     occurrences = [(a.letter.name, a.negated) for _, a in subformulas(f)
                    if isinstance(a, Atom) and a.letter.sort == GENERAL]
@@ -333,13 +332,13 @@ def test_derived_facts_equal_a_fresh_walk():
                 continue
             derived = assert_derived_facts(g, valid and pooled)
             if isinstance(move, ChooseTerm):
-                q = resolve_path(f, move.path)
+                q = _resolve_surface(f, move.path)
                 occurs = q.var in free_variables(q.body)
                 seen["chosen"] += derived
                 seen["chosen unused"] += derived and not occurs
                 seen["odd term used"] += occurs and move.term == Variable("X1")
             elif isinstance(move, MatchPair):
-                total = _general_count(f, resolve_path(f, move.pos_path).letter.name)
+                total = _general_count(f, _resolve_surface(f, move.pos_path).letter.name)
                 seen["matched"] += derived
                 seen["match kept occurrences"] += total > 2
                 assert derived == (valid and total == 2)

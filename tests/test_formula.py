@@ -10,10 +10,10 @@ from clprover.formula import (
     Atom, BOT, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, ELEMENTARY, FormulaError,
     GENERAL, LetterId, ParAnd, ParOr, ParseError, PathError, SubstitutionError,
     TOP, Variable, children, free_variables, bound_variables, is_elementary,
-    letter_table, parse_formula, render_formula, replace_at, resolve_path,
-    subformulas, substitute_var, surface_occurrences,
-    validate_formula,
+    letter_table, parse_formula, render_formula, replace_at, subformulas,
+    substitute_var, validate_formula,
 )
+from clprover.prover import _SurfaceIndex
 
 
 def P(i):
@@ -160,13 +160,13 @@ def test_surface_occurrences_examples():
     q = Atom(LetterId(ELEMENTARY, "q", 0))
     r = Atom(LetterId(ELEMENTARY, "r", 0))
     f = ParOr((ChoAnd((p, q)), r))
-    assert surface_occurrences(f, (ChoAnd,)) == [((0,), ChoAnd((p, q)))]
+    assert _SurfaceIndex(f).choices == [((0,), ChoAnd((p, q)))]
     g = ChoEx("x", f)
-    assert surface_occurrences(g, (ChoAnd,)) == []
+    assert _SurfaceIndex(g).choices == [((), g)]  # the cand under it is not surface
 
-    h = ParOr((Atom(LetterId(GENERAL, "P", 1), (Constant(0),)),
-               Atom(LetterId(GENERAL, "P", 1), (Constant(1),), negated=True)))
-    assert surface_occurrences(h, Atom) == ref_surface_general_atoms(h)
+    P = LetterId(GENERAL, "P", 1)
+    h = ParOr((Atom(P, (Constant(0),)), Atom(P, (Constant(1),), negated=True)))
+    assert _SurfaceIndex(h).letters == [(P, [(0,)], [(1,)])]
     negs = [(path, a) for path, a in ref_surface_general_atoms(h) if a.negated]
     assert negs == [((1,), h.operands[1])]
 
@@ -175,11 +175,17 @@ def test_surface_occurrences_examples():
 @given(st.integers(0, 10**9))
 def test_surface_paths_stay_out_of_choice_scopes(seed):
     f = random_formula(random.Random(seed), budget=7)
-    for path, _ in surface_occurrences(f):
+    index = _SurfaceIndex(f)
+    paths = [path for path, _ in index.choices]
+    for _, pos, neg in index.letters:
+        paths += pos + neg
+    for path in paths:
         node = f
-        for i in path[:-1] if path else ():
+        for i in path:
+            assert isinstance(node, (ParAnd, ParOr))
             node = children(node)[i]
-            assert not isinstance(node, (ChoAnd, ChoOr, ChoAll, ChoEx))
+        assert isinstance(node, (ChoAnd, ChoOr, ChoAll, ChoEx)) \
+            or node.letter.sort == GENERAL
 
 
 def test_substitute_examples():
@@ -262,15 +268,16 @@ def test_substitute_shares_every_subtree_without_the_variable(seed):
 
 def test_path_resolution_and_replacement():
     f = parse_formula("(p \\/ q) /\\ cex x: r(x)")
-    assert resolve_path(f, ()) == f
-    assert resolve_path(f, (0, 1)) == parse_formula("q")
-    assert resolve_path(f, (1, 0)) == parse_formula("r(x)")
+    at = dict(subformulas(f))
+    assert at[()] == f
+    assert at[(0, 1)] == parse_formula("q")
+    assert at[(1, 0)] == parse_formula("r(x)")
     g = replace_at(f, (0,), TOP)
     assert g == parse_formula("T /\\ cex x: r(x)")
     with pytest.raises(PathError):
-        resolve_path(f, (2,))
+        replace_at(f, (2,), TOP)
     with pytest.raises(PathError):
-        resolve_path(f, (0, 0, 0))
+        replace_at(f, (0, 0, 0), TOP)
 
 
 def test_subformulas_preorder():

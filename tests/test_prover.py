@@ -15,10 +15,10 @@ from clprover.formula import (
     parse_formula, render_formula,
 )
 from clprover.prover import (
-    ChooseDisjunct, ChooseTerm, DepthLimitError, GoalError, Logic, MatchPair,
-    ProofFormatError, ProofNode, ProverConfig, TermPool, WAIT, apply_move,
-    check_proof, enumerate_moves, measure, proof_from_json, proof_to_dict,
-    proof_to_json, prove, prove_with_stats, term_pool, wait_premises,
+    ChooseDisjunct, ChooseTerm, GoalError, Logic, MatchPair, ProofFormatError,
+    ProofNode, ProverConfig, TermPool, WAIT, apply_move, check_proof,
+    enumerate_moves, measure, proof_from_json, proof_to_dict, proof_to_json,
+    prove, prove_with_stats, term_pool, wait_premises,
 )
 from clprover.qbf import eval_qbf, parse_qbf, random_corpus, winning_strategy_tree
 from clprover.reduction import reduce_to_cl3, reduce_to_cl4
@@ -146,13 +146,6 @@ def test_cl3_rejects_general_goals():
         prove(parse_formula("P \\/ ~P"), CL3)
 
 
-def test_depth_limit():
-    f = parse_formula("p cand q")
-    with pytest.raises(DepthLimitError):
-        prove(f, ProverConfig(depth_limit=1))
-    assert prove(f) is None  # default limit suffices to settle it
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10**9))
 def test_prove_agrees_with_the_naive_search_cl4(seed):
@@ -201,6 +194,16 @@ def test_pruned_search_finds_the_first_success_proof(config, seed):
 
 
 @pytest.mark.parametrize("config", CUT_CONFIGS, ids=CUT_IDS)
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_search_depth_within_measure(config, seed):
+    # every rule lowers the measure, so no branch of either pass, on a
+    # provable goal or not, is longer than the measure plus one
+    f = cut_goal(seed, config.logic)[0]
+    assert prove_with_stats(f, config)[1].max_depth <= measure(f) + 1
+
+
+@pytest.mark.parametrize("config", CUT_CONFIGS, ids=CUT_IDS)
 def test_first_success_proofs_on_goals_that_prune(config):
     # fixed seeds, so the share of goals that exercise the cut is fixed too
     pruned = closed_pruned = 0
@@ -224,15 +227,6 @@ def test_proofs_check_and_shrink_the_measure(seed):
         for p in node.premises:
             assert measure(p.conclusion) < measure(node.conclusion)
     assert stats.max_depth <= measure(f) + 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**9))
-def test_memoization_never_changes_the_proof(seed):
-    f = random_formula(random.Random(seed), budget=5)
-    with_memo = prove(f, ProverConfig(memoization=True))
-    without = prove(f, ProverConfig(memoization=False))
-    assert with_memo == without
 
 
 @pytest.mark.parametrize("clauses", (8, 10))
