@@ -22,8 +22,7 @@ from .qbf import (
 )
 from .reduction import qm, reduce_to_cl3, reduce_to_cl4
 from .bridge import (
-    BridgeError, LevelLabel, ShapeClass, canonicalize_proof, classify_shape,
-    proof_to_strategy, strategy_to_proof,
+    BridgeError, canonicalize_proof, proof_to_strategy, strategy_to_proof,
 )
 
 __version__ = "0.1.0"

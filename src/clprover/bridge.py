@@ -1,38 +1,47 @@
 """Bridging strategy trees and proofs of reduced sentences.
 
-Every state a proof of a reduced sentence passes through has a rigid shape:
-a stack of elementary wrappers  q(c) \\/ (~q(c) /\\ _)  left behind by
-earlier matches, around a core that is either the next choice-ex
-quantifier, a universal gadget before or after its wait split, a general
-pair ready to match, or the quantifier-free endgame.
+_replay is the only walker that builds proofs.  It reads each state through
+the prover's _SurfaceIndex alone and takes the term choices and the wait
+splits from a _Dec:
 
-_replay is the only walker that builds proofs.  It follows that shape from
-the cl4 image, takes the term choices and the wait splits from a _Dec, and
-forces the rest: a gadget wait splits into its 0 and 1 branches, each
-branch commits its bit and matches the gadget pair at once, and the endgame
-matches every surviving pair from one surface walk and waits.
+- every state first plays canonical_matches, every surface match in
+  canonical order;
+- a state whose only surface choice is a cex takes the next term choice,
+  with any term other than 0 or 1 made 0;
+- a state whose surface choices are a cand and then a cex, where the
+  decisions split, is a universal gadget: it waits, its two wait premises
+  the 0 and the 1 branch;
+- any other state ends the branch and waits with no premises.
+
+On a reduced sentence the branch below a gadget wait commits the universal
+bit on the premise's cex, and canonical_matches then matches the gadget
+pair, the only surface pair the commit leaves.  Moves go through
+apply_move, and waits happen only on stable states with exactly their
+wait_premises, so every node the replay builds passes check_proof.
+
 strategy_to_proof reads the _Dec off a winning strategy tree.
 canonicalize_proof and proof_to_strategy extract it from a proof; a proof is
 canonical exactly when it equals its replay, and proof_to_strategy accepts
-only canonical proofs.  Every node the replay builds passes check_proof, so
-a canonical proof costs one replay and no separate check.
+only canonical proofs.  A canonical proof costs one replay and no separate
+check.  canonicalize_proof takes any proof: it raises BridgeError or
+returns a checked canonical proof of the same conclusion, which is its own
+canonical form.  Besides cl4 proofs of reduced sentences it takes their cl3
+proofs, whose replay makes no match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from .elementary import is_stable
 from .formula import (
-    Atom, ChoAnd, ChoEx, Constant, ELEMENTARY, Formula, FormulaError, GENERAL,
-    LetterId, ParAnd, ParOr, Path, Variable, is_elementary, render_formula,
+    ChoAnd, ChoEx, Constant, Formula, FormulaError, render_formula,
     validate_formula,
 )
 from .prover import (
-    ChooseTerm, MatchPair, ProofNode, WAIT, Wait, _SurfaceIndex, apply_move,
-    canonical_matches, check_proof, fresh_match_letter, wait_premises,
+    ChooseTerm, MatchPair, Move, ProofNode, WAIT, Wait, _SurfaceIndex,
+    apply_move, canonical_matches, check_proof, wait_premises,
 )
 from .qbf import Qbf, StrategyNode, check_strategy_tree
 from .reduction import reduce_to_cl4
@@ -40,144 +49,6 @@ from .reduction import reduce_to_cl4
 
 class BridgeError(Exception):
     pass
-
-
-class ShapeClass(Enum):
-    EXISTS_CHOICE = "exists-choice"
-    FORALL_GADGET = "forall-gadget"
-    PICKED_GADGET = "picked-gadget"
-    MATCH_PENDING = "match-pending"
-    ELEMENTARY_LEAF = "elementary-leaf"
-    OTHER = "other"
-
-
-@dataclass(frozen=True)
-class LevelLabel:
-    """A strategy-tree level, optionally tagged with the stage an even level
-    is in: t after the wait split, m after the committed choice, b after the
-    gadget match."""
-    number: int
-    sub: Optional[str] = None
-
-    def __post_init__(self):
-        if self.number < 1:
-            raise ValueError("levels start at 1")
-        if self.sub not in (None, "t", "m", "b"):
-            raise ValueError(f"bad level stage {self.sub!r}")
-        if self.sub is not None and self.number % 2 == 1:
-            raise ValueError("staged labels belong to even levels")
-
-    def __str__(self) -> str:
-        return f"{self.number}{self.sub or ''}"
-
-
-@dataclass(frozen=True)
-class _Shape:
-    cls: ShapeClass
-    quant_path: Optional[Path] = None
-    pos_path: Optional[Path] = None
-    neg_path: Optional[Path] = None
-    letter: Optional[LetterId] = None
-    const: Optional[int] = None
-
-
-def _wrapper_step(f: Formula, sort: str):
-    """Match  X(c) \\/ (~X(c) /\\ theta)  with X of the given sort and c a
-    binary constant; return (letter, c, theta) or None."""
-    if not (isinstance(f, ParOr) and len(f.operands) == 2):
-        return None
-    head, rest = f.operands
-    if not (isinstance(head, Atom) and not head.negated
-            and head.letter.sort == sort and len(head.args) == 1
-            and isinstance(head.args[0], Constant) and head.args[0].value in (0, 1)):
-        return None
-    if not (isinstance(rest, ParAnd) and len(rest.operands) == 2):
-        return None
-    dual, theta = rest.operands
-    if not (isinstance(dual, Atom) and dual.negated
-            and dual.letter == head.letter and dual.args == head.args):
-        return None
-    return head.letter, head.args[0].value, theta
-
-
-def _quant_tail(f: Formula, letter: LetterId):
-    """Match  cex y: (~G(y) /\\ theta)  for the given gadget letter."""
-    if not isinstance(f, ChoEx):
-        return None
-    body = f.body
-    if not (isinstance(body, ParAnd) and len(body.operands) == 2):
-        return None
-    dual, _ = body.operands
-    if not (isinstance(dual, Atom) and dual.negated and dual.letter == letter
-            and dual.args == (Variable(f.var),)):
-        return None
-    return f
-
-
-def _gadget_step(f: Formula):
-    if not (isinstance(f, ParOr) and len(f.operands) == 2):
-        return None
-    cho, tail = f.operands
-    if not (isinstance(cho, ChoAnd) and len(cho.operands) == 2):
-        return None
-    lo, hi = cho.operands
-    if not (isinstance(lo, Atom) and not lo.negated and lo.letter.sort == GENERAL
-            and lo.args == (Constant(0),)):
-        return None
-    if not (isinstance(hi, Atom) and not hi.negated and hi.letter == lo.letter
-            and hi.args == (Constant(1),)):
-        return None
-    if _quant_tail(tail, lo.letter) is None:
-        return None
-    return lo.letter
-
-
-def _picked_step(f: Formula):
-    if not (isinstance(f, ParOr) and len(f.operands) == 2):
-        return None
-    head, tail = f.operands
-    if not (isinstance(head, Atom) and not head.negated
-            and head.letter.sort == GENERAL and len(head.args) == 1
-            and isinstance(head.args[0], Constant) and head.args[0].value in (0, 1)):
-        return None
-    if _quant_tail(tail, head.letter) is None:
-        return None
-    return head.letter, head.args[0].value
-
-
-def _analyze(f: Formula) -> _Shape:
-    path: Path = ()
-    cur = f
-    while True:
-        step = _wrapper_step(cur, ELEMENTARY)
-        if step is None:
-            break
-        path += (1, 1)
-        cur = step[2]
-    if isinstance(cur, ChoEx):
-        return _Shape(ShapeClass.EXISTS_CHOICE, quant_path=path)
-    pend = _wrapper_step(cur, GENERAL)
-    if pend is not None:
-        return _Shape(ShapeClass.MATCH_PENDING,
-                      pos_path=path + (0,), neg_path=path + (1, 0),
-                      letter=pend[0], const=pend[1])
-    gad = _gadget_step(cur)
-    if gad is not None:
-        return _Shape(ShapeClass.FORALL_GADGET, quant_path=path + (1,),
-                      letter=gad)
-    pick = _picked_step(cur)
-    if pick is not None:
-        return _Shape(ShapeClass.PICKED_GADGET, quant_path=path + (1,),
-                      letter=pick[0], const=pick[1])
-    return _Shape(ShapeClass.OTHER)  # the endgame, elementary or not
-
-
-def classify_shape(f: Formula) -> ShapeClass:
-    cls = _analyze(f).cls
-    # the wrappers are elementary, so f is elementary exactly when its core is
-    if cls is ShapeClass.OTHER and is_elementary(f):
-        return ShapeClass.ELEMENTARY_LEAF
-    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -192,91 +63,56 @@ class _Dec:
     split: Optional[tuple["_Dec", "_Dec"]]
 
 
-def _replay(f: Formula, dec: _Dec, i: int = 0,
-            level: Optional[LevelLabel] = None) -> ProofNode:
-    """The canonical proof of f that makes the term choices dec.choices[i:]
-    and splits where dec does.  level is the strategy-tree level of the
-    choice quantifier that f starts with or that was chosen last; None at
-    the root, which must be a valid formula.
-
-    Every node the replay builds passes check_proof: a valid root, premises
-    that the moves derive, and waits on stable states whose premises are
-    exactly wait_premises.  _canonical relies on it."""
-    if level is None:
+def _replay(f: Formula, dec: _Dec, level: int = 0) -> ProofNode:
+    """The canonical proof of f that makes the term choices in dec and splits
+    where dec does, state by state as the module docstring lists.  level
+    counts the term choices made above f; at level 0, the root, f must be a
+    valid formula.  Each branch is walked in a loop, and only a wait split
+    recurses.  _canonical relies on every node passing check_proof."""
+    if level == 0:
         try:
             validate_formula(f)
         except FormulaError as e:
             raise BridgeError(f"bad conclusion: {e}") from None
-        level = LevelLabel(1)
-    shape = _analyze(f)
-    if shape.cls is ShapeClass.EXISTS_CHOICE:
-        if i >= len(dec.choices):
-            raise BridgeError(f"level {level}: proof is missing a term choice")
-        c = dec.choices[i]
-        if c not in (0, 1):
-            c = 0  # the gadget letters only ever meet 0 and 1; anything else
-            # left every literal over this variable unsatisfied, and 0 keeps
-            # at least that much true
-        move = ChooseTerm(shape.quant_path, Constant(c))
-        return ProofNode(f, move,
-                         (_replay(apply_move(f, move), dec, i + 1, level),))
-    if shape.cls is ShapeClass.FORALL_GADGET:
-        glevel = LevelLabel(level.number + 1, "t")
-        if dec.split is None or i != len(dec.choices):
-            raise BridgeError(f"level {glevel}: proof does not branch where "
-                              f"the sentence does")
+    steps: list[tuple[Formula, Move]] = []  # the branch above its wait
+    i = 0
+    while True:
+        index = _SurfaceIndex(f)
+        moves, states = canonical_matches(f, index)
+        steps += zip([f] + states, moves)
+        f = states[-1] if states else f
+        kinds = [type(node) for _, node in index.choices]
+        if kinds == [ChoEx] and i < len(dec.choices):
+            c = dec.choices[i]
+            if c not in (0, 1):
+                c = 0  # the gadget letters only ever meet 0 and 1; anything else
+                # left every literal over this variable unsatisfied, and 0 keeps
+                # at least that much true
+            steps.append((f, ChooseTerm(index.choices[0][0], Constant(c))))
+            f = apply_move(f, steps[-1][1])
+            i += 1
+            level += 1
+            continue
+        split = kinds == [ChoAnd, ChoEx] and dec.split is not None \
+            and i == len(dec.choices)
+        where = f"level {level + 1 if split else max(level, 1)}"
+        if not split and (dec.split is not None or i != len(dec.choices)):
+            raise BridgeError(f"{where}: proof branches where the sentence "
+                              f"does not")
         if not is_stable(f):
-            raise BridgeError(f"level {glevel}: gadget state is unstable")
-        # the shape leaves two surface choices: the cand, whose two operands
-        # differ, and the cex, which waiting leaves alone.  So the 0 and 1
-        # branches are all of wait_premises(f)
-        prems = wait_premises(f)
-        kids = tuple(_replay_commit(prems[a], dec.split[a], a, glevel)
-                     for a in (0, 1))
-        return ProofNode(f, WAIT, kids)
-    if shape.cls in (ShapeClass.PICKED_GADGET, ShapeClass.MATCH_PENDING):
-        raise BridgeError(f"level {level}: unexpected {shape.cls.value} state "
-                          f"during replay")
-    # endgame: match every surviving pair in canonical order, then wait
-    if dec.split is not None or i != len(dec.choices):
-        raise BridgeError(f"level {level}: proof branches where the sentence "
-                          f"does not")
-    index = _SurfaceIndex(f)
-    moves, states = canonical_matches(f, index)
-    chain = [f] + states
-    if not is_stable(chain[-1]):
-        raise BridgeError(f"level {level}: endgame state is unstable: "
-                          f"{render_formula(chain[-1])}")
-    # matching leaves the surface choices in place, so index still holds them
-    if wait_premises(chain[-1], index):
-        raise BridgeError(f"level {level}: endgame state waits on premises: "
-                          f"{render_formula(chain[-1])}")
-    node = ProofNode(chain[-1], WAIT, ())
-    for k in range(len(moves) - 1, -1, -1):
-        node = ProofNode(chain[k], moves[k], (node,))
-    return node
-
-
-def _replay_commit(f: Formula, dec: _Dec, bit: int,
-                   level: LevelLabel) -> ProofNode:
-    """The bit branch of a gadget wait at level (an even level, stage t):
-    commit the universal bit, match the gadget pair, and replay the rest."""
-    shape = _analyze(f)
-    if shape.cls is not ShapeClass.PICKED_GADGET or shape.const != bit:
-        raise BridgeError(f"level {level}: wait premise is not the {bit} branch")
-    if not dec.choices or dec.choices[0] != bit:
-        raise BridgeError(f"level {LevelLabel(level.number, 'm')}: branch does "
-                          f"not commit the universal bit {bit}")
-    move = ChooseTerm(shape.quant_path, Constant(bit))
-    g = apply_move(f, move)
-    mshape = _analyze(g)
-    if mshape.cls is not ShapeClass.MATCH_PENDING:
-        raise BridgeError(f"level {LevelLabel(level.number, 'b')}: committed "
-                          f"gadget did not leave a matchable pair")
-    mmove = MatchPair(mshape.pos_path, mshape.neg_path,
-                      fresh_match_letter(g, mshape.letter))
-    inner = _replay(apply_move(g, mmove), dec, 1, LevelLabel(level.number + 1))
-    return ProofNode(f, move, (ProofNode(g, mmove, (inner,)),))
+            raise BridgeError(f"{where}: wait state is unstable: "
+                              f"{render_formula(f)}")
+        # matching leaves the surface choices in place, so index still holds them
+        prems = wait_premises(f, index)
+        kids = dec.split if split else ()
+        if len(prems) != len(kids):
+            raise BridgeError(f"{where}: wait state has {len(prems)} premises, "
+                              f"not {len(kids)}: {render_formula(f)}")
+        node = ProofNode(f, WAIT, tuple(_replay(p, d, level)
+                                        for p, d in zip(prems, kids)))
+        for g, move in reversed(steps):
+            node = ProofNode(g, move, (node,))
+        return node
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +141,8 @@ def strategy_to_proof(q: Qbf, tree: StrategyNode) -> ProofNode:
 def _extract(node: ProofNode) -> _Dec:
     """Collect the term choices along each branch (they always fire outside
     in) and where the proof wait-splits.  Matches carry no information.
-    The proof need not have been checked: a node of a shape the replay
-    cannot take raises BridgeError, and _canonical compares the rest."""
+    The proof need not have been checked: a node the replay cannot take
+    raises BridgeError, and _canonical compares the rest."""
     choices: list[int] = []
     cur = node
     while True:
@@ -384,8 +220,9 @@ def proof_to_strategy(q: Qbf, proof: ProofNode) -> StrategyNode:
 
 
 def canonicalize_proof(proof: ProofNode) -> ProofNode:
-    """Rebuild a valid proof of a reduced sentence in the canonical order:
-    matches happen as early as possible, wait premises keep their derivation
-    order, the endgame matches every pair, and term choices are binary.
-    Canonical proofs come back unchanged."""
+    """Rebuild a valid proof in the canonical order: matches happen as early
+    as possible, wait premises keep their derivation order, and term choices
+    are binary.  Raises BridgeError, or returns a checked proof of the same
+    conclusion that comes back unchanged when given again.  Proofs of
+    reduced sentences are taken in cl3 as well as in cl4."""
     return _canonical(proof)[1]

@@ -343,7 +343,7 @@ def enumerate_moves(f: Formula, config: ProverConfig,
 # ---------------------------------------------------------------------------
 # search
 
-def canonical_matches(f: Formula, index: Optional[_SurfaceIndex] = None
+def canonical_matches(f: Formula, index: _SurfaceIndex
                       ) -> tuple[list[MatchPair], list[Formula]]:
     """Every canonical match from f on, and the formula after each.
 
@@ -353,13 +353,14 @@ def canonical_matches(f: Formula, index: Optional[_SurfaceIndex] = None
     occurrences.  Matching leaves every path in place and only adds fresh
     elementary names, so the surface index and the letter names of f serve
     every step."""
-    index = index or _SurfaceIndex(f)
-    used = letter_names(f)
     # per letter with both polarities: its first remaining occurrence, its
     # position in index.letters, and how many of its pairs are matched
     queue = [(min(pp[0], np[0]), i, 0)
              for i, (_, pp, np) in enumerate(index.letters) if pp and np]
+    if not queue:
+        return [], []
     heapq.heapify(queue)
+    used = letter_names(f)
     moves: list[MatchPair] = []
     states: list[Formula] = []
     while queue:

@@ -170,7 +170,7 @@ def check_strategy_tree(q: Qbf, root: StrategyNode) -> CheckResult:
         if level == n:
             if node.children:
                 diags.append(f"{where}: node at level {n} must be a leaf")
-            elif not play_path(q, labels):
+            elif not _matrix_value(q, {v: b for (_, v), b in zip(q.prefix, labels)}):
                 diags.append(f"{where}: losing play {list(labels)}")
             return
         if level > n:

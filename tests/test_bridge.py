@@ -2,23 +2,24 @@ import random
 
 import pytest
 
-from conftest import golden_proofs, ref_canonical
+from conftest import golden_proofs, random_formula, ref_canonical
 from clprover.bridge import (
-    BridgeError, LevelLabel, ShapeClass, _dec_tree, canonicalize_proof,
-    classify_shape, proof_to_strategy, strategy_to_proof,
+    BridgeError, _dec_tree, canonicalize_proof, proof_to_strategy,
+    strategy_to_proof,
 )
 from clprover.elementary import is_stable
 from clprover.formula import (
     TOP, Constant, ParOr, is_elementary, parse_formula, render_formula,
 )
 from clprover.prover import (
-    ChooseTerm, MatchPair, ProofNode, WAIT, Wait, check_proof, prove,
+    ChooseTerm, Logic, ProofNode, ProverConfig, WAIT, Wait, apply_move,
+    check_proof, prove,
 )
 from clprover.qbf import (
     StrategyNode, check_strategy_tree, eval_qbf, exhaustive_unary_corpus,
     parse_qbf, random_corpus, render_qbf, winning_strategy_tree,
 )
-from clprover.reduction import reduce_to_cl4
+from clprover.reduction import reduce_to_cl3, reduce_to_cl4
 
 WORKED_PHI = parse_qbf("exists x forall y exists z : (-x | y | x) & (z | x | -z)")
 
@@ -34,51 +35,6 @@ def leaf_paths(node, acc=()):
         yield acc + (node,)
     for p in node.premises:
         yield from leaf_paths(p, acc + (node,))
-
-
-# ---------------------------------------------------------------------------
-# shapes
-
-def test_classify_quantifier_form():
-    f = parse_formula("cex x: (P(0) cand P(1)) \\/ cex y: (~P(y) /\\ p)")
-    assert classify_shape(f) is ShapeClass.EXISTS_CHOICE
-
-
-def test_classify_wrapped_gadget_form():
-    f = parse_formula(
-        "q(0) \\/ (~q(0) /\\ ((P(0) cand P(1)) \\/ cex y: (~P(y) /\\ p)))")
-    assert classify_shape(f) is ShapeClass.FORALL_GADGET
-
-
-def test_classify_picked_and_pending_forms():
-    g = parse_formula("P(0) \\/ cex y: (~P(y) /\\ p)")
-    assert classify_shape(g) is ShapeClass.PICKED_GADGET
-    h = parse_formula("P(0) \\/ (~P(0) /\\ p)")
-    assert classify_shape(h) is ShapeClass.MATCH_PENDING
-
-
-def test_classify_leaf_form():
-    f = parse_formula("q(0) \\/ (~q(0) /\\ p)")
-    assert classify_shape(f) is ShapeClass.ELEMENTARY_LEAF
-    assert classify_shape(parse_formula("p \\/ ~p")) is ShapeClass.ELEMENTARY_LEAF
-
-
-def test_classify_other():
-    assert classify_shape(parse_formula("p cand q")) is ShapeClass.OTHER
-    # a stray general atom fits none of the staged forms
-    assert classify_shape(parse_formula("P(0) \\/ p")) is ShapeClass.OTHER
-
-
-def test_level_labels():
-    assert str(LevelLabel(1)) == "1"
-    assert str(LevelLabel(2, "t")) == "2t"
-    assert str(LevelLabel(2, "b")) == "2b"
-    with pytest.raises(ValueError):
-        LevelLabel(0)
-    with pytest.raises(ValueError):
-        LevelLabel(3, "t")  # stages belong to even levels
-    with pytest.raises(ValueError):
-        LevelLabel(2, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +88,7 @@ def test_every_wait_leaf_is_a_stable_leaf_form():
     proof = strategy_to_proof(WORKED_PHI, tree)
     for node in proof_nodes(proof):
         if node.rule is WAIT and not node.premises:
-            assert classify_shape(node.conclusion) is ShapeClass.ELEMENTARY_LEAF
+            assert is_elementary(node.conclusion)
             assert is_stable(node.conclusion)
 
 
@@ -214,6 +170,55 @@ def test_canonicalize_is_idempotent_on_search_output():
         assert once.conclusion == proof.conclusion
         assert check_proof(once)
         assert canonicalize_proof(once) == once
+
+
+def _contract_cases():
+    """(source, logic, proof): search proofs of random goals in cl4 and cl3,
+    and cl3 proofs of reduced sentences."""
+    rng = random.Random(23)
+    while True:
+        general = rng.random() < 0.7
+        f = random_formula(rng, budget=rng.randint(1, 12), allow_general=general)
+        logic = Logic.CL4 if general or rng.random() < 0.5 else Logic.CL3
+        proof = prove(f, ProverConfig(logic=logic))
+        if proof is not None:
+            yield "goal", logic, proof
+        q = random_corpus(1, seed=rng.randrange(10**6), prefix_lengths=(1, 3, 5))[0]
+        proof = prove(reduce_to_cl3(q), ProverConfig(logic=Logic.CL3))
+        if proof is not None:
+            yield "cl3 image", Logic.CL3, proof
+
+
+def test_canonicalize_raises_or_returns_a_checked_fixed_point():
+    outcomes = set()
+    cases = _contract_cases()
+    for _ in range(400):
+        source, logic, proof = next(cases)
+        try:
+            out = canonicalize_proof(proof)
+        except BridgeError:
+            # the cl3 proofs of reduced sentences are all taken
+            assert source == "goal", render_formula(proof.conclusion)
+            outcomes.add("raised")
+            continue
+        outcomes.add(source)
+        assert out.conclusion == proof.conclusion
+        assert check_proof(out, ProverConfig(logic=logic)), render_formula(out.conclusion)
+        assert canonicalize_proof(out) is out
+    assert outcomes == {"raised", "goal", "cl3 image"}
+
+
+def test_canonical_term_choices_are_binary():
+    # x occurs only in a clause that z satisfies, so a proof may choose 2
+    # for x; the canonical proof chooses 0 in its place
+    q = parse_qbf("exists x forall y exists z : (x | z | z)")
+    f = reduce_to_cl4(q)
+    pick = ChooseTerm((), Constant(2))
+    proof = ProofNode(f, pick, (prove(apply_move(f, pick)),))
+    assert check_proof(proof)
+    canon = canonicalize_proof(proof)
+    assert canon.rule == ChooseTerm((), Constant(0))
+    assert proof_to_strategy(q, canon).label == 0
 
 
 def test_canonicalize_rejects_broken_input():
@@ -304,8 +309,12 @@ def test_canonical_pass_agrees_with_checking_first():
                 bad = _edit_at(proof, rng, edit)
                 if bad is not None:
                     cases.append((q, bad))
-    for text in ("p cand q", "T \\/ (p cand q)"):
+    for text in ("p cand q", "T \\/ (p cand q)", "(p cand q) \\/ cex x: r(x)"):
         cases.append((WORKED_PHI, ProofNode(parse_formula(text), WAIT, ())))
+    # a term choice on a state that has a cand beside its cex
+    f = parse_formula("(p cand q) \\/ cex x: r(x)")
+    pick = ChooseTerm((1,), Constant(0))
+    cases.append((None, ProofNode(f, pick, (ProofNode(apply_move(f, pick), WAIT, ()),))))
     cases.append((None, ProofNode(ParOr((TOP,)), WAIT, ())))  # not a valid formula
     kinds = set()
     for q, proof in cases:

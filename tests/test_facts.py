@@ -88,7 +88,7 @@ def assert_endgame_matches(f):
     """canonical_matches plays the same matches as ref_first_match_move one
     step at a time, and reaches the same formula; returns the letters it
     matched."""
-    moves, states = canonical_matches(f)
+    moves, states = canonical_matches(f, _SurfaceIndex(f))
     final, ref_moves = ref_match_all(f)
     assert moves == ref_moves
     assert (states[-1] if states else f) == final

@@ -3,9 +3,11 @@
 A fixed seeded corpus of sentences (prefixes 1, 3 and 5) is run through the
 cl4 search, the cl3 search and strategy_to_proof; the SHA-256 of each
 proof's JSON must equal the value stored in tests/data/golden_proofs.json.
+A second corpus of prefix-7 and prefix-9 sentences pins the much larger
+proofs strategy_to_proof builds there (tests/data/golden_bridge_deep.json).
 A refactor that changes any emitted proof, even by one byte, fails here.
 
-Regenerate the data file (only when a proof change is intended) with
+Regenerate the data files (only when a proof change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -26,6 +28,9 @@ from clprover.reduction import reduce_to_cl3, reduce_to_cl4
 DATA = Path(__file__).parent / "data" / "golden_proofs.json"
 CORPUS = random_corpus(20, seed=2024, prefix_lengths=(1, 3, 5),
                        max_clauses=4, min_clauses=2)
+DEEP_DATA = Path(__file__).parent / "data" / "golden_bridge_deep.json"
+DEEP_CORPUS = random_corpus(7, seed=2025, prefix_lengths=(7, 9),
+                            max_clauses=4, min_clauses=3)
 
 
 def _digest(proof) -> str | None:
@@ -44,6 +49,14 @@ def digests(q) -> dict:
     }
 
 
+def deep_digests(q) -> dict:
+    tree = winning_strategy_tree(q)
+    return {
+        "sentence": render_qbf(q),
+        "bridge": _digest(strategy_to_proof(q, tree) if tree else None),
+    }
+
+
 def test_golden_corpus_has_both_verdicts():
     golden = json.loads(DATA.read_text())
     assert len(golden) == len(CORPUS)
@@ -56,5 +69,20 @@ def test_proof_digests_match_golden(i):
     assert digests(CORPUS[i]) == golden
 
 
+def test_deep_corpus_has_both_prefixes_and_verdicts():
+    golden = json.loads(DEEP_DATA.read_text())
+    assert len(golden) == len(DEEP_CORPUS)
+    assert {len(q.prefix) for q in DEEP_CORPUS} == {7, 9}
+    assert {row["bridge"] is None for row in golden} == {False, True}
+
+
+@pytest.mark.parametrize("i", range(len(DEEP_CORPUS)))
+def test_deep_bridge_digests_match_golden(i):
+    golden = json.loads(DEEP_DATA.read_text())[i]
+    assert deep_digests(DEEP_CORPUS[i]) == golden
+
+
 if __name__ == "__main__":
     DATA.write_text(json.dumps([digests(q) for q in CORPUS], indent=1) + "\n")
+    DEEP_DATA.write_text(
+        json.dumps([deep_digests(q) for q in DEEP_CORPUS], indent=1) + "\n")

@@ -221,6 +221,25 @@ def test_check_tree_rejects_bad_shapes():
     assert not check_strategy_tree(q, deep).ok
 
 
+def _plays(node, labels=()):
+    """Every complete play of a tree, in the order check_strategy_tree
+    visits the leaves."""
+    labels += (node.label,)
+    if not node.children:
+        yield labels
+    for kid in node.children:
+        yield from _plays(kid, labels)
+
+
+def test_check_tree_reports_exactly_the_plays_play_path_loses():
+    for q in random_corpus(30, seed=13, prefix_lengths=(3, 5), min_clauses=1):
+        for tree in all_strategy_trees(len(q.prefix)):
+            want = [f"losing play {list(p)}" for p in _plays(tree)
+                    if not play_path(q, p)]
+            got = [d.split(": ", 1)[1] for d in check_strategy_tree(q, tree).diagnostics]
+            assert got == want, render_qbf(q)
+
+
 def test_tree_existence_equals_truth_small():
     # prefix lengths 1 and 3: compare against brute enumeration of all trees
     corpus = exhaustive_unary_corpus(2) + random_corpus(60, seed=7,
