@@ -142,7 +142,8 @@ def _extract(node: ProofNode) -> _Dec:
     """Collect the term choices along each branch (they always fire outside
     in) and where the proof wait-splits.  Matches carry no information.
     The proof need not have been checked: a node the replay cannot take
-    raises BridgeError, and _canonical compares the rest."""
+    raises BridgeError or, on a bad conclusion, FormulaError, and _canonical
+    compares the rest."""
     choices: list[int] = []
     cur = node
     while True:
@@ -187,7 +188,7 @@ def _canonical(proof: ProofNode) -> tuple[_Dec, ProofNode]:
     try:
         dec = _extract(proof)
         out = _replay(proof.conclusion, dec)
-    except BridgeError:
+    except (BridgeError, FormulaError):
         _check_input(proof)
         raise
     if out == proof:

@@ -43,6 +43,7 @@ def _read_text(inline, path, what):
 
 
 def _write_out(path, text):
+    # callers under --json write only to a file: stdout holds the JSON alone
     if path:
         with open(path, "w", encoding="utf-8") as fp:
             fp.write(text if text.endswith("\n") else text + "\n")
@@ -73,6 +74,8 @@ def cmd_prove(args) -> int:
     f = parse_formula(_read_text(args.formula, args.infile, "formula"))
     config = _config(args)
     proof, stats = prove_with_stats(f, config)
+    if proof is not None and args.out:
+        _write_out(args.out, proof_to_json(proof))
     if args.json:
         print(json.dumps({
             "provable": proof is not None,
@@ -86,13 +89,11 @@ def cmd_prove(args) -> int:
         }, ensure_ascii=False, indent=2))
     elif proof is None:
         print(f"not provable in {config.logic.value}")
+    elif args.out:
+        print(f"provable in {config.logic.value}; proof written to {args.out}")
     else:
-        if args.out:
-            _write_out(args.out, proof_to_json(proof))
-            print(f"provable in {config.logic.value}; proof written to {args.out}")
-        else:
-            print(f"provable in {config.logic.value}")
-            print(proof_to_json(proof))
+        print(f"provable in {config.logic.value}")
+        print(proof_to_json(proof))
     return 0 if proof is not None else 1
 
 
@@ -115,11 +116,11 @@ def cmd_reduce(args) -> int:
     q = _parse_qbf_arg(args)
     f = reduce_to_cl4(q) if args.target == "cl4" else reduce_to_cl3(q)
     text = render_formula(f)
+    if args.out or not args.json:
+        _write_out(args.out, text)
     if args.json:
         print(json.dumps({"target": args.target, "formula": text},
                          ensure_ascii=False, indent=2))
-    else:
-        _write_out(args.out, text)
     return 0
 
 
@@ -138,16 +139,18 @@ def cmd_qbf_normalize(args) -> int:
     fmt = _detect_format(text) if args.format == "auto" else args.format
     q = parse_qbf(text, fmt=fmt, repair=True)
     out = render_qdimacs(q) if args.to == "qdimacs" else render_qbf(q)
+    if args.out or not args.json:
+        _write_out(args.out, out)
     if args.json:
         print(json.dumps({"qbf": out}, ensure_ascii=False))
-    else:
-        _write_out(args.out, out)
     return 0
 
 
 def cmd_strategy_extract(args) -> int:
     q = _parse_qbf_arg(args)
     tree = winning_strategy_tree(q)
+    if tree is not None and (args.out or not args.json):
+        _write_out(args.out, strategy_to_json(tree))
     if args.json:
         print(json.dumps({
             "winning": tree is not None,
@@ -155,8 +158,6 @@ def cmd_strategy_extract(args) -> int:
         }, ensure_ascii=False, indent=2))
     elif tree is None:
         print("sentence is false: no winning strategy")
-    else:
-        _write_out(args.out, strategy_to_json(tree))
     return 0 if tree is not None else 1
 
 
@@ -181,11 +182,11 @@ def cmd_strategy_to_proof(args) -> int:
     with open(args.strategy, encoding="utf-8") as fp:
         tree = strategy_from_json(fp.read())
     proof = strategy_to_proof(q, tree)
+    if args.out or not args.json:
+        _write_out(args.out, proof_to_json(proof))
     if args.json:
         print(json.dumps({"proof": proof_to_dict(proof)}, ensure_ascii=False,
                          indent=2))
-    else:
-        _write_out(args.out, proof_to_json(proof))
     return 0
 
 

@@ -9,14 +9,15 @@ positive and one negative surface occurrence of a general letter by a fresh
 elementary letter.  The cl3 logic drops match and requires general-free
 goals.
 
-Search runs in two passes over the same rule order: a memoized verdict pass,
-then proof construction that takes the first rule the verdict pass accepts.
-The proof that comes out is exactly the one a naive first-success
-depth-first search over the rule order would find.  Both passes skip the
-choose-term moves on fresh constants that an earlier term dominates, which
-that search never picks.  Each state the two passes expand is walked through
-its surface once: the _SurfaceIndex built there is handed to every rule that
-reads the surface.
+Search runs in two passes that read one rule order, _Search._tries: a
+memoized verdict pass, then proof construction that takes the first rule
+whose premises the verdict pass accepts.  The proof that comes out is
+exactly the one a naive first-success depth-first search over the rule order
+would find; the order skips the choose-term moves that search never picks.
+Each state either pass expands is walked through its surface once, and the
+_SurfaceIndex built there is handed to every rule that reads the surface.
+Only verdicts are memoized, so SearchStats.stable_checks counts the
+stability checks of both passes.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class SearchStats:
     states: int = 0
     shortcut_states: int = 0
     max_depth: int = 0
-    stable_checks: int = 0  # is_stable calls made by the search
+    stable_checks: int = 0  # stability checks made by both passes
     memo_hits: int = 0  # decide calls answered from the memo
     forced_matches: int = 0  # forced-match shortcuts taken
     pruned_terms: int = 0  # choose-term moves skipped on dominated constants
@@ -138,14 +139,10 @@ def fresh_wait_variable(f: Formula) -> str:
     return f"w{k}"
 
 
-def fresh_match_letter(f: Formula, letter: LetterId) -> LetterId:
+def _fresh_letter(letter: LetterId, used: set[str]) -> LetterId:
     """Deterministic fresh elementary letter for matching `letter`: the
     lowercased name (guarded against the variable lexeme class and reserved
-    words) with the first unused numeric suffix."""
-    return _fresh_letter(letter, letter_names(f))
-
-
-def _fresh_letter(letter: LetterId, used: set[str]) -> LetterId:
+    words) with the first numeric suffix not in used."""
     base = letter.name.lower()
     if not is_letter_name(base):
         base += "q"
@@ -332,10 +329,11 @@ def enumerate_moves(f: Formula, config: ProverConfig,
         pool = term_pool(f, config.term_pool)
         for path in exs:
             moves.extend(ChooseTerm(path, t) for t in pool)
-    if config.logic is Logic.CL4:
+    if config.logic is Logic.CL4 and index.letters:
+        used = letter_names(f)
         for letter, pp, np in index.letters:
             if pp and np:
-                fresh = fresh_match_letter(f, letter)
+                fresh = _fresh_letter(letter, used)
                 moves.extend(MatchPair(p, n, fresh) for p in pp for n in np)
     return moves
 
@@ -386,14 +384,14 @@ def _forced_match_move(f: Formula, index: _SurfaceIndex) -> Optional[MatchPair]:
     Taking the step eagerly collapses the exponential family of match
     orderings the plain search would wade through.
     """
-    s = facts(f)
-    if not s.generals:
+    if not index.letters:
         return None
+    s = facts(f)
     total = {lid.name: n for lid, n in zip(s.letters, s.counts)
              if lid.sort == GENERAL}
     for letter, pp, np in index.letters:
         if pp and np and total[letter.name] == 2:
-            return MatchPair(pp[0], np[0], fresh_match_letter(f, letter))
+            return MatchPair(pp[0], np[0], _fresh_letter(letter, letter_names(f)))
     return None
 
 
@@ -401,16 +399,7 @@ class _Search:
     def __init__(self, config: ProverConfig):
         self.config = config
         self.memo: dict[str, bool] = {}
-        self.stable_memo: dict[str, bool] = {}
         self.stats = SearchStats()
-
-    def _stable(self, f: Formula, key: str) -> bool:
-        v = self.stable_memo.get(key)
-        if v is None:
-            self.stats.stable_checks += 1
-            v = is_stable(f)
-            self.stable_memo[key] = v
-        return v
 
     def decide(self, f: Formula, depth: int) -> bool:
         if depth > self.stats.max_depth:
@@ -420,36 +409,40 @@ class _Search:
         if verdict is not None:
             self.stats.memo_hits += 1
             return verdict
-        verdict = self._decide_state(f, key, depth)
+        verdict = self._decide_state(f, depth)
         self.memo[key] = verdict
         return verdict
 
-    def _decide_state(self, f: Formula, key: str, depth: int) -> bool:
+    def _decide_state(self, f: Formula, depth: int) -> bool:
         self.stats.states += 1
         index = _SurfaceIndex(f)
         if not index.choices:  # the topmost choice on any path is on the surface
-            known, verdict = self._choiceless_verdict(f, key, index)
-            if known:
+            verdict = self._choiceless_verdict(f, index)
+            if verdict is not None:
                 self.stats.shortcut_states += 1
                 return verdict
-        if self.config.logic is Logic.CL4:
-            forced = _forced_match_move(f, index)
-            if forced is not None:
-                self.stats.forced_matches += 1
-                return self.decide(apply_move(f, forced), depth + 1)
-        if self._stable(f, key) and \
-                all(self.decide(p, depth + 1) for p in wait_premises(f, index)):
-            return True
-        return any(self.decide(apply_move(f, m), depth + 1)
-                   for m in self._moves(f, index))
+        forced = _forced_match_move(f, index)
+        if forced is not None:
+            self.stats.forced_matches += 1
+            return self.decide(apply_move(f, forced), depth + 1)
+        # a plain loop: any() over a generator adds a frame per search level
+        for _, prems in self._tries(f, index):
+            if all(self.decide(p, depth + 1) for p in prems):
+                return True
+        return False
 
-    def _moves(self, f: Formula, index: _SurfaceIndex) -> list[Move]:
-        # enumerate_moves less the choose-term moves on dominated fresh
-        # constants.  Substituting a term t for a fresh constant c maps a
-        # proof of A(c) to a proof of A(t), and every occurring term precedes
-        # c in the pool, so a first-success search never picks c when a term
-        # occurs.  When none does, the first fresh constant, 0, dominates the
-        # others the same way.  Verdicts and proofs therefore do not change.
+    def _tries(self, f: Formula, index: _SurfaceIndex):
+        """Each rule the search tries on f, in order, with its premises: wait
+        when f is stable, then each move of enumerate_moves, its result built
+        when reached, less the choose-term moves on dominated fresh
+        constants.  Substituting a term t for a fresh constant c maps a
+        proof of A(c) to a proof of A(t), and every occurring term precedes
+        c in the pool, so a first-success search never picks c when a term
+        occurs.  When none does, the first fresh constant, 0, dominates the
+        others the same way.  Verdicts and proofs therefore do not change."""
+        self.stats.stable_checks += 1
+        if is_stable(f):
+            yield WAIT, wait_premises(f, index)
         moves = enumerate_moves(f, self.config, index)
         s = facts(f)
         first = None if s.consts or s.free else Constant(0)
@@ -457,36 +450,28 @@ class _Search:
                 if not isinstance(m, ChooseTerm) or isinstance(m.term, Variable)
                 or m.term.value in s.consts or m.term == first]
         self.stats.pruned_terms += len(moves) - len(kept)
-        return kept
+        for m in kept:
+            yield m, (apply_move(f, m),)
 
-    def _choiceless_verdict(self, f: Formula, key: str, index: _SurfaceIndex
-                            ) -> tuple[bool, bool]:
+    def _choiceless_verdict(self, f: Formula, index: _SurfaceIndex
+                            ) -> Optional[bool]:
         # A choiceless formula whose general letters each have at most one
         # occurrence per polarity is provable exactly when matching every
         # positive/negative pair leaves a stable formula: every position is
-        # monotone, so skipping or reordering matches can only lose.  Without
-        # the match rule the verdict is plain stability.
-        if self.config.logic is Logic.CL3:
-            return True, self._stable(f, key)
+        # monotone, so skipping or reordering matches can only lose.  With no
+        # general letter, as in every cl3 goal, that is plain stability.
+        # None when a letter occurs twice in one polarity.
         letters = index.letters
         if any(len(pp) > 1 or len(np) > 1 for _, pp, np in letters):
-            return False, False
+            return None
         self.stats.stable_checks += 1
-        pairs = {L.name for L, pp, np in letters if pp and np}
-        return True, is_stable_matched(f, pairs)
+        return is_stable_matched(f, {L.name for L, pp, np in letters if pp and np})
 
     def build(self, f: Formula, depth: int) -> ProofNode:
-        key = render_formula(f)
-        index = _SurfaceIndex(f)
-        if self._stable(f, key):
-            prems = wait_premises(f, index)
+        for rule, prems in self._tries(f, _SurfaceIndex(f)):
             if all(self.decide(p, depth + 1) for p in prems):
-                return ProofNode(f, WAIT,
+                return ProofNode(f, rule,
                                  tuple(self.build(p, depth + 1) for p in prems))
-        for m in self._moves(f, index):
-            g = apply_move(f, m)
-            if self.decide(g, depth + 1):
-                return ProofNode(f, m, (self.build(g, depth + 1),))
         raise ProverError("build reached a state the verdict pass rejected")
 
 

@@ -173,9 +173,6 @@ def check_strategy_tree(q: Qbf, root: StrategyNode) -> CheckResult:
             elif not _matrix_value(q, {v: b for (_, v), b in zip(q.prefix, labels)}):
                 diags.append(f"{where}: losing play {list(labels)}")
             return
-        if level > n:
-            diags.append(f"{where}: deeper than the prefix")
-            return
         if level % 2 == 1:
             if len(node.children) != 2:
                 diags.append(f"{where}: odd level needs two children")

@@ -18,13 +18,13 @@ from clprover.bridge import BridgeError, _extract, _replay, strategy_to_proof
 from clprover.formula import (
     Atom, Bot, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, Formula, FormulaError,
     LetterId, ParAnd, ParOr, Top, Variable, BOT, ELEMENTARY, GENERAL, TOP,
-    children, parse_formula, render_formula, replace_at, subformulas,
-    substitute_var, validate_formula, with_children,
+    children, letter_names, parse_formula, render_formula, replace_at,
+    subformulas, substitute_var, validate_formula, with_children,
 )
 from clprover.prover import (
     _RULE_KEYS, WAIT, ChooseDisjunct, ChooseTerm, Logic, MatchPair,
     ProofFormatError, ProofNode, ProverConfig, apply_move, check_proof,
-    enumerate_moves, fresh_match_letter, fresh_wait_variable, prove,
+    enumerate_moves, fresh_wait_variable, prove, _fresh_letter,
     _path_from_json, _term_from_json, wait_premises,
 )
 from clprover.qbf import (
@@ -304,7 +304,7 @@ def ref_match_moves(f: Formula) -> list[MatchPair]:
         pp = pos.get(letter.name, [])
         np_ = neg.get(letter.name, [])
         if pp and np_:
-            fresh = fresh_match_letter(f, letter)
+            fresh = _fresh_letter(letter, letter_names(f))
             moves.extend(MatchPair(p, n, fresh) for p in pp for n in np_)
     return moves
 
@@ -324,7 +324,7 @@ def ref_forced_match_move(f: Formula):
     for letter in order:
         if total[letter.name] == 2 and letter.name in pos and letter.name in neg:
             return MatchPair(pos[letter.name], neg[letter.name],
-                             fresh_match_letter(f, letter))
+                             _fresh_letter(letter, letter_names(f)))
     return None
 
 
@@ -340,7 +340,7 @@ def ref_first_match_move(f: Formula):
     if target is None:
         return None
     return MatchPair(pos[target.name], neg[target.name],
-                     fresh_match_letter(f, target))
+                     _fresh_letter(target, letter_names(f)))
 
 
 def ref_match_all(f: Formula) -> tuple[Formula, list[MatchPair]]:

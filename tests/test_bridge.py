@@ -9,7 +9,8 @@ from clprover.bridge import (
 )
 from clprover.elementary import is_stable
 from clprover.formula import (
-    TOP, Constant, ParOr, is_elementary, parse_formula, render_formula,
+    TOP, Atom, ChoAll, Constant, LetterId, ParOr, Variable, is_elementary,
+    parse_formula, render_formula,
 )
 from clprover.prover import (
     ChooseTerm, Logic, ProofNode, ProverConfig, WAIT, Wait, apply_move,
@@ -316,6 +317,11 @@ def test_canonical_pass_agrees_with_checking_first():
     pick = ChooseTerm((1,), Constant(0))
     cases.append((None, ProofNode(f, pick, (ProofNode(apply_move(f, pick), WAIT, ()),))))
     cases.append((None, ProofNode(ParOr((TOP,)), WAIT, ())))  # not a valid formula
+    # a conclusion whose wait premises cannot be formed: x is bound twice
+    p_x = Atom(LetterId.from_name("p", 1), (Variable("x"),), False)
+    twice = ChoAll("x", ChoAll("x", p_x))
+    leaf = ProofNode(TOP, WAIT, ())
+    cases.append((None, ProofNode(twice, WAIT, (leaf, leaf))))
     kinds = set()
     for q, proof in cases:
         want = _outcome(lambda p: ref_canonical(p)[1], proof)

@@ -13,7 +13,8 @@ from clprover.cli import main
 from clprover.formula import parse_formula, render_formula
 from clprover.prover import check_proof, proof_from_json
 from clprover.qbf import (
-    parse_qbf, render_qdimacs, strategy_to_dict, winning_strategy_tree,
+    parse_qbf, render_qdimacs, strategy_to_dict, strategy_to_json,
+    winning_strategy_tree,
 )
 from clprover.reduction import reduce_to_cl4
 
@@ -222,6 +223,26 @@ def test_strategy_extract_json(capsys):
     assert report["winning"] is True
     tree = winning_strategy_tree(parse_qbf(TRIPLE_Q))
     assert report["strategy"] == strategy_to_dict(tree)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["prove", "--formula", "P \\/ ~P"], "--proof-out"),
+    (["reduce", "--qbf", TRIPLE_Q, "--target", "cl4"], "--out"),
+    (["qbf", "normalize", "--qbf", "exists x exists y : (x | y | x)"], "--out"),
+    (["strategy", "extract", "--qbf", TRIPLE_Q], "--out"),
+    (["strategy", "to-proof", "--qbf", TRIPLE_Q, "--strategy", "TREE"], "--out"),
+], ids=["prove", "reduce", "qbf-normalize", "strategy-extract", "strategy-to-proof"])
+def test_file_flags_write_under_json(capsys, tmp_path, argv, flag):
+    # the file gets what it gets without --json; stdout keeps the JSON alone
+    tree = tmp_path / "tree.json"
+    tree.write_text(strategy_to_json(winning_strategy_tree(parse_qbf(TRIPLE_Q))))
+    argv = [str(tree) if a == "TREE" else a for a in argv]
+    plain, under_json = tmp_path / "plain.out", tmp_path / "json.out"
+    assert run(capsys, *argv, flag, str(plain))[0] == 0
+    _, want, _ = run(capsys, *argv, "--json")
+    code, out, _ = run(capsys, *argv, "--json", flag, str(under_json))
+    assert code == 0 and out == want
+    assert under_json.read_text() == plain.read_text()
 
 
 def test_strategy_extract_false_sentence(capsys):

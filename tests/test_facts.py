@@ -220,12 +220,11 @@ def random_choiceless(rng: random.Random, budget: int):
 def test_choiceless_verdict_matches_stability_after_matching(seed):
     rng = random.Random(seed)
     f = random_choiceless(rng, rng.randint(2, 9))
-    known, verdict = _Search(ProverConfig())._choiceless_verdict(
-        f, render_formula(f), _SurfaceIndex(f))
+    verdict = _Search(ProverConfig())._choiceless_verdict(f, _SurfaceIndex(f))
     occurrences = [(a.letter.name, a.negated) for _, a in subformulas(f)
                    if isinstance(a, Atom) and a.letter.sort == GENERAL]
-    assert known == (len(occurrences) == len(set(occurrences)))
-    if known:
+    assert (verdict is not None) == (len(occurrences) == len(set(occurrences)))
+    if verdict is not None:
         assert verdict == is_stable(ref_match_all(f)[0])
         pairs = {n for n, neg in occurrences if neg} & {n for n, neg in occurrences if not neg}
         assert is_stable_matched(f, pairs) == verdict

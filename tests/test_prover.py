@@ -252,6 +252,37 @@ def test_determinism_on_repeat_runs():
     assert prove(f) == prove(f)
 
 
+WORKED_Q = parse_qbf("exists x forall y exists z : (-x | y | x) & (z | x | -z)")
+STABILITY_GOALS = [
+    (reduce_to_cl4(WORKED_Q), ProverConfig()),
+    (reduce_to_cl3(WORKED_Q), CL3),
+    (parse_formula("(P(0) cand P(1)) \\/ cex x: (~P(x) /\\ (p cor q))"), ProverConfig()),
+    (parse_formula("(P \\/ ~P) /\\ (Q \\/ (Q cor ~Q))"), ProverConfig()),
+    (parse_formula("call x: (p(x) \\/ (q cor ~p(x)))"), CL3),
+    (parse_formula("p cand (q cor ~p)"), CL3),
+]
+
+
+@pytest.mark.parametrize("goal, config", STABILITY_GOALS)
+def test_stable_checks_count_every_stability_check(monkeypatch, goal, config):
+    # stableChecks counts each call of either stability check, in both passes
+    calls = []
+    for name in ("is_stable", "is_stable_matched"):
+        def counting(*args, _check=getattr(clprover.prover, name)):
+            calls.append(args[0])
+            return _check(*args)
+        monkeypatch.setattr(clprover.prover, name, counting)
+    stats = prove_with_stats(goal, config)[1]
+    assert calls and stats.stable_checks == len(calls)
+
+
+def test_deeply_nested_choice_is_decided():
+    # the search recurses once per move; any() over the rule generator
+    # would add a frame per level and fail here
+    f = parse_formula("q \\/ " + "(p cor " * 200 + "~p" + ")" * 200)
+    assert prove(f) is None
+
+
 # ---------------------------------------------------------------------------
 # proof checking
 
