@@ -17,13 +17,18 @@ On a reduced sentence the branch below a gadget wait commits the universal
 bit on the premise's cex, and canonical_matches then matches the gadget
 pair, the only surface pair the commit leaves.  Moves go through
 apply_move, and waits happen only on stable states with exactly their
-wait_premises, so every node the replay builds passes check_proof.
+wait_premises, so every node the replay returns passes check_proof.
 
 strategy_to_proof reads the _Dec off a winning strategy tree.
 canonicalize_proof and proof_to_strategy extract it from a proof; a proof is
 canonical exactly when it equals its replay, and proof_to_strategy accepts
-only canonical proofs.  A canonical proof costs one replay and no separate
-check.  canonicalize_proof takes any proof: it raises BridgeError or
+only canonical proofs.  These two replay with the proof in hand: each state
+the replay derives is compared with the proof's own conclusion at that
+place, and where they agree the replay goes on from the proof's objects.
+The two sides then share every subtree a rule leaves alone, so a comparison
+walks only what the rule rebuilt, and a canonical proof comes back as the
+very object given.  It costs one replay, with no separate check and no
+comparison walk.  canonicalize_proof takes any proof: it raises BridgeError or
 returns a checked canonical proof of the same conclusion, which is its own
 canonical form.  Besides cl4 proofs of reduced sentences it takes their cl3
 proofs, whose replay makes no match.
@@ -32,7 +37,7 @@ proofs, whose replay makes no match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from .elementary import is_stable
 from .formula import (
@@ -63,33 +68,67 @@ class _Dec:
     split: Optional[tuple["_Dec", "_Dec"]]
 
 
-def _replay(f: Formula, dec: _Dec, level: int = 0) -> ProofNode:
+def _follow(given: Optional[ProofNode], j: int, f: Formula
+            ) -> Optional[ProofNode]:
+    """The input's premise j when it concludes f, else None."""
+    if given is not None and j < len(given.premises) \
+            and given.premises[j].conclusion == f:
+        return given.premises[j]
+    return None
+
+
+def _node(given: Optional[ProofNode], f: Formula, rule: Union[Wait, Move],
+          premises: tuple[ProofNode, ...]) -> ProofNode:
+    """The input node given when it is this node, else a new one."""
+    if given is not None and given.rule == rule \
+            and len(given.premises) == len(premises) \
+            and all(a is b for a, b in zip(given.premises, premises)):
+        return given
+    return ProofNode(f, rule, premises)
+
+
+def _replay(f: Formula, dec: _Dec, given: Optional[ProofNode] = None,
+            level: int = 0) -> ProofNode:
     """The canonical proof of f that makes the term choices in dec and splits
-    where dec does, state by state as the module docstring lists.  level
-    counts the term choices made above f; at level 0, the root, f must be a
-    valid formula.  Each branch is walked in a loop, and only a wait split
-    recurses.  _canonical relies on every node passing check_proof."""
+    where dec does, state by state as the module docstring lists.
+
+    given is the input node that concludes f itself, or None.  Each move's
+    result and each wait premise is compared with the input's premise at
+    the same place; where they are equal, the replay goes on from the
+    input's own conclusion, so the next comparison shares every subtree
+    the rule left alone, and a subtree equal to the input's comes back as
+    the input's own node.  level counts the term choices made above f; at
+    level 0, the root, f must be a valid formula.  Each branch is walked in
+    a loop, and only a wait split recurses.  _canonical relies on every
+    node passing check_proof."""
     if level == 0:
         try:
             validate_formula(f)
         except FormulaError as e:
             raise BridgeError(f"bad conclusion: {e}") from None
-    steps: list[tuple[Formula, Move]] = []  # the branch above its wait
+    # the branch above its wait: each state, its move and the input's node
+    steps: list[tuple[Formula, Move, Optional[ProofNode]]] = []
     i = 0
     while True:
         index = _SurfaceIndex(f)
-        moves, states = canonical_matches(f, index)
-        steps += zip([f] + states, moves)
-        f = states[-1] if states else f
+        moves: list[Move] = canonical_matches(f, index)
         kinds = [type(node) for _, node in index.choices]
-        if kinds == [ChoEx] and i < len(dec.choices):
+        choose = kinds == [ChoEx] and i < len(dec.choices)
+        if choose:
             c = dec.choices[i]
             if c not in (0, 1):
                 c = 0  # the gadget letters only ever meet 0 and 1; anything else
                 # left every literal over this variable unsatisfied, and 0 keeps
                 # at least that much true
-            steps.append((f, ChooseTerm(index.choices[0][0], Constant(c))))
-            f = apply_move(f, steps[-1][1])
+            # matching leaves every path in place
+            moves.append(ChooseTerm(index.choices[0][0], Constant(c)))
+        for move in moves:
+            steps.append((f, move, given))
+            f = apply_move(f, move)
+            given = _follow(given, 0, f)
+            if given is not None:
+                f = given.conclusion
+        if choose:
             i += 1
             level += 1
             continue
@@ -108,10 +147,13 @@ def _replay(f: Formula, dec: _Dec, level: int = 0) -> ProofNode:
         if len(prems) != len(kids):
             raise BridgeError(f"{where}: wait state has {len(prems)} premises, "
                               f"not {len(kids)}: {render_formula(f)}")
-        node = ProofNode(f, WAIT, tuple(_replay(p, d, level)
-                                        for p, d in zip(prems, kids)))
-        for g, move in reversed(steps):
-            node = ProofNode(g, move, (node,))
+        subs = []
+        for j, (p, d) in enumerate(zip(prems, kids)):
+            g = _follow(given, j, p)
+            subs.append(_replay(p if g is None else g.conclusion, d, g, level))
+        node = _node(given, f, WAIT, tuple(subs))
+        for g, move, at in reversed(steps):
+            node = _node(at, g, move, (node,))
         return node
 
 
@@ -181,17 +223,18 @@ def _check_input(proof: ProofNode) -> None:
 
 
 def _canonical(proof: ProofNode) -> tuple[_Dec, ProofNode]:
-    """Read a proof's decisions and replay them.  A proof equal to its
-    replay comes back as itself, unchecked: every replay node passes
-    check_proof.  Any other proof, and one the walk fails on, must check
-    before its replay or the failure is reported."""
+    """Read a proof's decisions and replay them against it.  A proof equal
+    to its replay is what the replay hands back, and it comes back
+    unchecked: every replay node passes check_proof.  Any other proof, and
+    one the walk fails on, must check before its replay or the failure is
+    reported."""
     try:
         dec = _extract(proof)
-        out = _replay(proof.conclusion, dec)
+        out = _replay(proof.conclusion, dec, proof)
     except (BridgeError, FormulaError):
         _check_input(proof)
         raise
-    if out == proof:
+    if out is proof:
         return dec, proof
     _check_input(proof)
     res = check_proof(out)

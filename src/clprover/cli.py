@@ -18,7 +18,8 @@ from .bridge import BridgeError, proof_to_strategy, strategy_to_proof
 from .formula import FormulaError, parse_formula, render_formula
 from .prover import (
     Logic, ProverConfig, ProverError, TermPool, check_proof, measure,
-    proof_from_json, proof_to_dict, proof_to_json, prove_with_stats,
+    json_text, proof_from_json, proof_to_dict, proof_to_json,
+    prove_with_stats,
 )
 from .qbf import (
     Qbf, QbfError, check_strategy_tree, eval_qbf, exhaustive_unary_corpus,
@@ -77,7 +78,7 @@ def cmd_prove(args) -> int:
     if proof is not None and args.out:
         _write_out(args.out, proof_to_json(proof))
     if args.json:
-        print(json.dumps({
+        print(json_text({
             "provable": proof is not None,
             "proof": proof_to_dict(proof) if proof else None,
             "stats": {"states": stats.states,
@@ -86,7 +87,7 @@ def cmd_prove(args) -> int:
                       "forcedMatches": stats.forced_matches,
                       "prunedTerms": stats.pruned_terms,
                       "maxDepth": stats.max_depth, "measure": measure(f)},
-        }, ensure_ascii=False, indent=2))
+        }))
     elif proof is None:
         print(f"not provable in {config.logic.value}")
     elif args.out:
@@ -102,8 +103,7 @@ def cmd_check(args) -> int:
         proof = proof_from_json(fp.read())
     res = check_proof(proof, ProverConfig(logic=Logic(args.logic)))
     if args.json:
-        print(json.dumps({"ok": res.ok, "diagnostics": res.diagnostics},
-                         ensure_ascii=False, indent=2))
+        print(json_text({"ok": res.ok, "diagnostics": res.diagnostics}))
     elif res.ok:
         print("proof is valid")
     else:
@@ -119,8 +119,7 @@ def cmd_reduce(args) -> int:
     if args.out or not args.json:
         _write_out(args.out, text)
     if args.json:
-        print(json.dumps({"target": args.target, "formula": text},
-                         ensure_ascii=False, indent=2))
+        print(json_text({"target": args.target, "formula": text}))
     return 0
 
 
@@ -152,10 +151,10 @@ def cmd_strategy_extract(args) -> int:
     if tree is not None and (args.out or not args.json):
         _write_out(args.out, strategy_to_json(tree))
     if args.json:
-        print(json.dumps({
+        print(json_text({
             "winning": tree is not None,
             "strategy": strategy_to_dict(tree) if tree else None,
-        }, ensure_ascii=False, indent=2))
+        }))
     elif tree is None:
         print("sentence is false: no winning strategy")
     return 0 if tree is not None else 1
@@ -167,8 +166,7 @@ def cmd_strategy_check(args) -> int:
         tree = strategy_from_json(fp.read())
     res = check_strategy_tree(q, tree)
     if args.json:
-        print(json.dumps({"ok": res.ok, "diagnostics": res.diagnostics},
-                         ensure_ascii=False, indent=2))
+        print(json_text({"ok": res.ok, "diagnostics": res.diagnostics}))
     elif res.ok:
         print("strategy tree is winning")
     else:
@@ -185,8 +183,7 @@ def cmd_strategy_to_proof(args) -> int:
     if args.out or not args.json:
         _write_out(args.out, proof_to_json(proof))
     if args.json:
-        print(json.dumps({"proof": proof_to_dict(proof)}, ensure_ascii=False,
-                         indent=2))
+        print(json_text({"proof": proof_to_dict(proof)}))
     return 0
 
 
@@ -215,9 +212,8 @@ def cmd_roundtrip(args) -> int:
     else:
         ok_exit = agree
     if args.json:
-        print(json.dumps({"agree": agree, "value": value,
-                          "cl4": p4 is not None, "cl3": p3 is not None},
-                         ensure_ascii=False, indent=2))
+        print(json_text({"agree": agree, "value": value,
+                         "cl4": p4 is not None, "cl3": p3 is not None}))
     else:
         print(f"{verdict} eval={'TRUE' if value else 'FALSE'} "
               f"cl4={'PROVABLE' if p4 is not None else 'UNPROVABLE'} "
@@ -293,14 +289,14 @@ def cmd_bench(args) -> int:
     all_agree = all(r.agree for r in rows)
     all_depth = all(r.depth_ok for r in rows)
     if args.json:
-        print(json.dumps({
+        print(json_text({
             "rows": [{"name": r.name, "sentence": r.sentence, "value": r.value,
                       "cl4": r.cl4, "cl3": r.cl3, "mu4": r.mu4, "mu3": r.mu3,
                       "depth4": r.depth4, "depth3": r.depth3,
                       "agree": r.agree, "depthOk": r.depth_ok,
                       "millis": round(r.millis, 3)} for r in rows],
             "allAgree": all_agree, "allDepthOk": all_depth,
-        }, ensure_ascii=False, indent=2))
+        }))
     elif not rows:
         print("empty corpus")
     else:

@@ -341,37 +341,34 @@ def enumerate_moves(f: Formula, config: ProverConfig,
 # ---------------------------------------------------------------------------
 # search
 
-def canonical_matches(f: Formula, index: _SurfaceIndex
-                      ) -> tuple[list[MatchPair], list[Formula]]:
-    """Every canonical match from f on, and the formula after each.
+def canonical_matches(f: Formula, index: _SurfaceIndex) -> list[MatchPair]:
+    """Every canonical match from f on, in the order they are played.
 
     Each next match is on the letter whose first remaining surface
     occurrence comes first among the letters that still have both
     polarities, and pairs its first remaining positive and negative
     occurrences.  Matching leaves every path in place and only adds fresh
     elementary names, so the surface index and the letter names of f serve
-    every step."""
+    every step, and each move applies to the formula the one before it
+    leaves."""
     # per letter with both polarities: its first remaining occurrence, its
     # position in index.letters, and how many of its pairs are matched
     queue = [(min(pp[0], np[0]), i, 0)
              for i, (_, pp, np) in enumerate(index.letters) if pp and np]
     if not queue:
-        return [], []
+        return []
     heapq.heapify(queue)
     used = letter_names(f)
     moves: list[MatchPair] = []
-    states: list[Formula] = []
     while queue:
         _, i, k = heapq.heappop(queue)
         letter, pp, np = index.letters[i]
         fresh = _fresh_letter(letter, used)
         used.add(fresh.name)
         moves.append(MatchPair(pp[k], np[k], fresh))
-        f = apply_move(f, moves[-1])
-        states.append(f)
         if k + 1 < len(pp) and k + 1 < len(np):
             heapq.heappush(queue, (min(pp[k + 1], np[k + 1]), i, k + 1))
-    return moves, states
+    return moves
 
 
 def _forced_match_move(f: Formula, index: _SurfaceIndex) -> Optional[MatchPair]:
@@ -631,7 +628,7 @@ def _node_from_dict(d, derived: dict[str, Formula]) -> ProofNode:
     if missing:
         raise ProofFormatError(f"proof node is missing {sorted(missing)}")
     rule_name = d["rule"]
-    if rule_name not in _RULE_KEYS:
+    if not isinstance(rule_name, str) or rule_name not in _RULE_KEYS:
         raise ProofFormatError(f"unknown rule {rule_name!r}")
     allowed = {"formula", "rule", "premises"} | _RULE_KEYS[rule_name]
     extra = d.keys() - allowed
@@ -674,8 +671,45 @@ def _node_from_dict(d, derived: dict[str, Formula]) -> ProofNode:
     return ProofNode(f, rule, tuple(_node_from_dict(p, known) for p in d["premises"]))
 
 
+_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def json_text(value) -> str:
+    """The text json.dumps writes for value with ensure_ascii off and an
+    indent of 2, byte for byte, when every dict key is a string.  The
+    standard library writes indented JSON with its pure-Python encoder,
+    which hands every piece up through one generator per level; this walk
+    keeps an explicit stack instead, and writes a list of plain ints with
+    one join."""
+    out: list[str] = []
+    stack: list = [(value, "\n")]  # a bare str is text to write as it is
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        v, nl = item
+        inner = nl + "  "
+        if isinstance(v, dict) and v:
+            stack.append(nl + "}")
+            for k, x in reversed(v.items()):
+                stack += ((x, inner), f",{inner}{_scalar(k)}: ")
+            stack[-1] = "{" + stack[-1][1:]  # the first entry takes no comma
+        elif isinstance(v, (list, tuple)) and v:
+            if all(x.__class__ is int for x in v):  # a bool is not a plain int
+                out.append(f"[{inner}{(',' + inner).join(map(str, v))}{nl}]")
+                continue
+            stack.append(nl + "]")
+            for x in reversed(v):
+                stack += ((x, inner), "," + inner)
+            stack[-1] = "[" + inner
+        else:
+            out.append(str(v) if v.__class__ is int else _scalar(v))
+    return "".join(out)
+
+
 def proof_to_json(node: ProofNode) -> str:
-    return json.dumps(proof_to_dict(node), ensure_ascii=False, indent=2)
+    return json_text(proof_to_dict(node))
 
 
 def proof_from_json(text: str) -> ProofNode:

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from .formula import is_variable_name
-from .prover import CheckResult
+from .prover import CheckResult, json_text
 
 
 class QbfError(Exception):
@@ -209,7 +209,7 @@ def strategy_from_dict(d) -> StrategyNode:
 
 
 def strategy_to_json(node: StrategyNode) -> str:
-    return json.dumps(strategy_to_dict(node), ensure_ascii=False, indent=2)
+    return json_text(strategy_to_dict(node))
 
 
 def strategy_from_json(text: str) -> StrategyNode:

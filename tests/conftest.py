@@ -614,7 +614,7 @@ def _ref_proof_from_dict(d) -> ProofNode:
     if missing:
         raise ProofFormatError(f"proof node is missing {sorted(missing)}")
     rule_name = d["rule"]
-    if rule_name not in _RULE_KEYS:
+    if not isinstance(rule_name, str) or rule_name not in _RULE_KEYS:
         raise ProofFormatError(f"unknown rule {rule_name!r}")
     allowed = {"formula", "rule", "premises"} | _RULE_KEYS[rule_name]
     extra = d.keys() - allowed

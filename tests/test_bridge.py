@@ -14,7 +14,8 @@ from clprover.formula import (
 )
 from clprover.prover import (
     ChooseTerm, Logic, ProofNode, ProverConfig, WAIT, Wait, apply_move,
-    check_proof, prove,
+    check_proof, proof_from_dict, proof_from_json, proof_to_dict,
+    proof_to_json, prove,
 )
 from clprover.qbf import (
     StrategyNode, check_strategy_tree, eval_qbf, exhaustive_unary_corpus,
@@ -299,6 +300,18 @@ def _swap_split(n):
     return None
 
 
+def _edit_leaf_text(proof, rng):
+    """proof read back from JSON, with the text of one leaf, a premise whose
+    parent's rule is kept, edited to another valid and stable formula: the
+    replay must compare before it takes the input's premise over."""
+    doc = proof_to_dict(proof)
+    node = doc
+    while node["premises"]:
+        node = rng.choice(node["premises"])
+    node["formula"] = "p \\/ ~p"
+    return proof_from_dict(doc)
+
+
 def test_canonical_pass_agrees_with_checking_first():
     rng = random.Random(17)
     cases = []
@@ -306,10 +319,12 @@ def test_canonical_pass_agrees_with_checking_first():
         # a cl3 proof is not over the sentence's cl4 image
         cases.append((None if kind == "cl3" else q, proof))
         if kind == "bridge":
+            cases.append((q, proof_from_json(proof_to_json(proof))))
             for edit in (_swap_split, _term_to_2, _drop_premise, _tamper_conclusion):
                 bad = _edit_at(proof, rng, edit)
                 if bad is not None:
                     cases.append((q, bad))
+            cases.append((q, _edit_leaf_text(proof, rng)))
     for text in ("p cand q", "T \\/ (p cand q)", "(p cand q) \\/ cex x: r(x)"):
         cases.append((WORKED_PHI, ProofNode(parse_formula(text), WAIT, ())))
     # a term choice on a state that has a cand beside its cex
@@ -322,12 +337,18 @@ def test_canonical_pass_agrees_with_checking_first():
     twice = ChoAll("x", ChoAll("x", p_x))
     leaf = ProofNode(TOP, WAIT, ())
     cases.append((None, ProofNode(twice, WAIT, (leaf, leaf))))
-    kinds = set()
+    kinds, kept = set(), set()
     for q, proof in cases:
         want = _outcome(lambda p: ref_canonical(p)[1], proof)
         kinds.add(type(want).__name__)
-        assert _outcome(canonicalize_proof, proof) == want, render_formula(proof.conclusion)
+        got = _outcome(canonicalize_proof, proof)
+        assert got == want, render_formula(proof.conclusion)
+        if isinstance(got, ProofNode):
+            # a proof equal to its canonical form is handed back itself
+            assert (got is proof) == (got == proof)
+            kept.add(got is proof)
         if q is not None:
             assert _outcome(proof_to_strategy, q, proof) == \
                 _outcome(_ref_proof_to_strategy, q, proof)
     assert kinds == {"ProofNode", "str"}
+    assert kept == {True, False}

@@ -16,7 +16,7 @@ from clprover.qbf import (
     parse_qbf, render_qdimacs, strategy_to_dict, strategy_to_json,
     winning_strategy_tree,
 )
-from clprover.reduction import reduce_to_cl4
+from clprover.reduction import reduce_to_cl3, reduce_to_cl4
 
 TRUE_Q = "exists x : (x | x | x)"
 FALSE_Q = "exists x : (x | x | x) & (-x | -x | -x)"
@@ -138,6 +138,38 @@ def test_check_rejects_search_flags(capsys, tmp_path, argv):
         main([argv[0], *source, *argv[1:]])
     assert info.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rule", [["wait"], {"name": "wait"}],
+                         ids=["list", "object"])
+def test_check_rejects_a_rule_that_is_not_a_string(capsys, tmp_path, rule):
+    # an unhashable rule once reached the rule table and left a TypeError
+    target = tmp_path / "proof.json"
+    target.write_text(json.dumps({"formula": "p \\/ ~p", "rule": rule,
+                                  "premises": []}))
+    code, out, err = run(capsys, "check", "--proof", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown rule")
+
+
+@pytest.mark.parametrize("argv", [
+    ("prove", "--formula", "IMAGE4", "--json"),
+    ("prove", "--formula", "IMAGE3", "--logic", "cl3", "--json"),
+    ("strategy", "to-proof", "--qbf", TRIPLE_Q, "--strategy", "TREE", "--json"),
+    ("check", "--proof", "PROOF", "--json"),
+], ids=["prove-cl4", "prove-cl3", "strategy-to-proof", "check"])
+def test_json_output_is_the_standard_library_text(capsys, tmp_path, argv):
+    q = parse_qbf(TRIPLE_Q)
+    tree, proof = tmp_path / "tree.json", tmp_path / "proof.json"
+    tree.write_text(strategy_to_json(winning_strategy_tree(q)))
+    run(capsys, "strategy", "to-proof", "--qbf", TRIPLE_Q, "--strategy",
+        str(tree), "--out", str(proof))
+    files = {"IMAGE4": render_formula(reduce_to_cl4(q)),
+             "IMAGE3": render_formula(reduce_to_cl3(q)),
+             "TREE": str(tree), "PROOF": str(proof)}
+    code, out, _ = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 0
+    assert out == json.dumps(json.loads(out), ensure_ascii=False, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

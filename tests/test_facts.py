@@ -88,15 +88,14 @@ def assert_endgame_matches(f):
     """canonical_matches plays the same matches as ref_first_match_move one
     step at a time, and reaches the same formula; returns the letters it
     matched."""
-    moves, states = canonical_matches(f, _SurfaceIndex(f))
+    moves = canonical_matches(f, _SurfaceIndex(f))
     final, ref_moves = ref_match_all(f)
     assert moves == ref_moves
-    assert (states[-1] if states else f) == final
     assert (moves[0] if moves else None) == ref_first_match_move(f)
     g = f
-    for move, state in zip(moves, states):
+    for move in moves:
         g = apply_move(g, move)
-        assert state == g
+    assert g == final
     return [_resolve_surface(f, m.pos_path).letter.name for m in moves]
 
 

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     golden_proofs, naive_provable, random_formula, ref_first_success_proof,
@@ -17,10 +17,13 @@ from clprover.formula import (
 from clprover.prover import (
     ChooseDisjunct, ChooseTerm, GoalError, Logic, MatchPair, ProofFormatError,
     ProofNode, ProverConfig, TermPool, WAIT, apply_move, check_proof,
-    enumerate_moves, measure, proof_from_json, proof_to_dict, proof_to_json,
-    prove, prove_with_stats, term_pool, wait_premises,
+    enumerate_moves, json_text, measure, proof_from_json, proof_to_dict,
+    proof_to_json, prove, prove_with_stats, term_pool, wait_premises,
 )
-from clprover.qbf import eval_qbf, parse_qbf, random_corpus, winning_strategy_tree
+from clprover.qbf import (
+    eval_qbf, parse_qbf, random_corpus, strategy_to_dict, strategy_to_json,
+    winning_strategy_tree,
+)
 from clprover.reduction import reduce_to_cl3, reduce_to_cl4
 
 
@@ -364,6 +367,58 @@ def test_proof_json_key_order():
     d = proof_to_dict(proof)
     assert list(d) == ["formula", "rule", "posPath", "negPath", "fresh", "premises"]
     assert list(d["premises"][0]) == ["formula", "rule", "premises"]
+
+
+def _stdlib_text(value) -> str:
+    return json.dumps(value, ensure_ascii=False, indent=2)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.lists(st.integers() | st.booleans()),  # int lists, bools among them
+    lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids),
+    max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON)
+@example([])
+@example({"": {}, "a": [[], {}]})
+@example({"\u00e9\u4e2d": "\x00\x1f\u2028\"\\\n\ud7ff\U0001f600"})
+@example([True, False, None])
+@example([1, True, 2])
+@example([-(10**40), 10**40, 0])
+@example([0.1, -0.0, 1e300, float("inf"), float("nan")])
+@example((1, [2, (3,)]))
+def test_json_text_is_the_standard_library_text(value):
+    assert json_text(value) == _stdlib_text(value)
+
+
+def test_json_text_on_golden_proofs_and_strategy_trees():
+    from test_golden import DEEP_CORPUS
+    proofs = [p for _, _, p in golden_proofs()]
+    trees = [winning_strategy_tree(q) for q in DEEP_CORPUS]
+    proofs += [strategy_to_proof(q, t) for q, t in zip(DEEP_CORPUS, trees) if t]
+    assert len(proofs) > 40
+    for p in proofs:
+        assert proof_to_json(p) == _stdlib_text(proof_to_dict(p))
+    for t in [t for t in trees if t][:3]:
+        assert strategy_to_json(t) == _stdlib_text(strategy_to_dict(t))
+
+
+def test_json_text_needs_no_recursion():
+    # 5,000 levels: far past the interpreter's recursion limit
+    depth = 5000
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    text = json_text(value)
+    pos = 0
+    for piece in ([f"[\n{'  ' * (i + 1)}" for i in range(depth)] + ["[]"]
+                  + [f"\n{'  ' * i}]" for i in reversed(range(depth))]):
+        assert text.startswith(piece, pos)
+        pos += len(piece)
+    assert pos == len(text)
 
 
 @pytest.mark.parametrize("doc", [
