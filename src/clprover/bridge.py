@@ -111,7 +111,7 @@ def _replay(f: Formula, dec: _Dec, given: Optional[ProofNode] = None,
     i = 0
     while True:
         index = _SurfaceIndex(f)
-        moves: list[Move] = canonical_matches(f, index)
+        moves: list[Move] = canonical_matches(f, index.letters)
         kinds = [type(node) for _, node in index.choices]
         choose = kinds == [ChoEx] and i < len(dec.choices)
         if choose:

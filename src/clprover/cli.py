@@ -85,6 +85,7 @@ def cmd_prove(args) -> int:
                       "stableChecks": stats.stable_checks,
                       "memoHits": stats.memo_hits,
                       "forcedMatches": stats.forced_matches,
+                      "forcedWalks": stats.forced_walks,
                       "prunedTerms": stats.pruned_terms,
                       "maxDepth": stats.max_depth, "measure": measure(f)},
         }))

@@ -9,15 +9,11 @@ positive and one negative surface occurrence of a general letter by a fresh
 elementary letter.  The cl3 logic drops match and requires general-free
 goals.
 
-Search runs in two passes that read one rule order, _Search._tries: a
-memoized verdict pass, then proof construction that takes the first rule
-whose premises the verdict pass accepts.  The proof that comes out is
-exactly the one a naive first-success depth-first search over the rule order
-would find; the order skips the choose-term moves that search never picks.
-Each state either pass expands is walked through its surface once, and the
-_SurfaceIndex built there is handed to every rule that reads the surface.
-Only verdicts are memoized, so SearchStats.stable_checks counts the
-stability checks of both passes.
+Search is one memoized pass, _Search.solve, over one rule order, _tries.
+It returns exactly the proof a naive first-success depth-first search over
+that order would find; the order skips the choose-term moves that search
+never picks.  Each state is solved once, and the _SurfaceIndex built there
+is handed to every rule that reads the surface.
 """
 
 from __future__ import annotations
@@ -114,9 +110,10 @@ class SearchStats:
     states: int = 0
     shortcut_states: int = 0
     max_depth: int = 0
-    stable_checks: int = 0  # stability checks made by both passes
-    memo_hits: int = 0  # decide calls answered from the memo
-    forced_matches: int = 0  # forced-match shortcuts taken
+    stable_checks: int = 0  # calls of is_stable and is_stable_matched
+    memo_hits: int = 0  # solve calls answered from the memo
+    forced_matches: int = 0  # matches played in forced batches
+    forced_walks: int = 0  # states whose forced batch solved, then walked
     pruned_terms: int = 0  # choose-term moves skipped on dominated constants
 
 
@@ -200,7 +197,7 @@ def wait_premises(f: Formula, index: Optional[_SurfaceIndex] = None
             w = Variable(fresh_wait_variable(f))
             prems.append(replace_at(f, path, substitute_var(node.body, node.var, w)))
     for p in prems:
-        # its own facts wait for a query, which a memoized verdict never makes
+        # its own facts wait for a query, which a memo hit never makes
         carry_validity(f, p)
     return prems
 
@@ -292,20 +289,12 @@ def term_pool(f: Formula, pool: TermPool) -> list[Term]:
     consts = sorted(constants(f))
     out: list[Term] = [Constant(c) for c in consts]
     out.extend(Variable(v) for v in sorted(free_variables(f), key=_var_key))
-    extra = 0
-    if pool == TermPool.OCCURRING_PLUS_FRESH:
-        extra = 1
-    elif pool == TermPool.OCCURRING_PLUS_TWO_FRESH:
-        extra = 2
+    extra = {TermPool.OCCURRING_PLUS_FRESH: 1,
+             TermPool.OCCURRING_PLUS_TWO_FRESH: 2}.get(pool, 0)
+    # the first extra naturals that do not occur, all below len(consts) + extra
     have = set(consts)
-    c = 0
-    while extra:
-        if c not in have:
-            out.append(Constant(c))
-            have.add(c)
-            extra -= 1
-        c += 1
-    return out
+    fresh = [c for c in range(len(consts) + extra) if c not in have][:extra]
+    return out + [Constant(c) for c in fresh]
 
 
 def _var_key(name: str) -> tuple[str, int, str]:
@@ -341,20 +330,19 @@ def enumerate_moves(f: Formula, config: ProverConfig,
 # ---------------------------------------------------------------------------
 # search
 
-def canonical_matches(f: Formula, index: _SurfaceIndex) -> list[MatchPair]:
-    """Every canonical match from f on, in the order they are played.
-
-    Each next match is on the letter whose first remaining surface
-    occurrence comes first among the letters that still have both
-    polarities, and pairs its first remaining positive and negative
-    occurrences.  Matching leaves every path in place and only adds fresh
-    elementary names, so the surface index and the letter names of f serve
-    every step, and each move applies to the formula the one before it
-    leaves."""
+def canonical_matches(f: Formula, letters: list) -> list[MatchPair]:
+    """Every canonical match of f on the given entries of its surface index
+    (all of them, or the forced ones), in the order they are played.  Each
+    next match is on the letter whose first remaining surface occurrence
+    comes first among the letters that still have both polarities, and
+    pairs its first remaining positive and negative occurrences.  Matching
+    leaves every path in place and only adds fresh elementary names, so the
+    surface index and the letter names of f serve every step, and each move
+    applies to the formula the one before it leaves."""
     # per letter with both polarities: its first remaining occurrence, its
-    # position in index.letters, and how many of its pairs are matched
+    # position in letters, and how many of its pairs are matched
     queue = [(min(pp[0], np[0]), i, 0)
-             for i, (_, pp, np) in enumerate(index.letters) if pp and np]
+             for i, (_, pp, np) in enumerate(letters) if pp and np]
     if not queue:
         return []
     heapq.heapify(queue)
@@ -362,7 +350,7 @@ def canonical_matches(f: Formula, index: _SurfaceIndex) -> list[MatchPair]:
     moves: list[MatchPair] = []
     while queue:
         _, i, k = heapq.heappop(queue)
-        letter, pp, np = index.letters[i]
+        letter, pp, np = letters[i]
         fresh = _fresh_letter(letter, used)
         used.add(fresh.name)
         moves.append(MatchPair(pp[k], np[k], fresh))
@@ -371,62 +359,65 @@ def canonical_matches(f: Formula, index: _SurfaceIndex) -> list[MatchPair]:
     return moves
 
 
-def _forced_match_move(f: Formula, index: _SurfaceIndex) -> Optional[MatchPair]:
-    """A match both of whose atoms are their letter's only occurrences in f.
-
-    Matching such a pair right away never loses a proof: the two atoms sit
-    outside every choice scope, so waiting and choosing leave them alone and
-    commute with the match, no other partner for either atom can ever
-    appear, and the elementarization only gains truth at the two spots.
-    Taking the step eagerly collapses the exponential family of match
-    orderings the plain search would wade through.
-    """
-    if not index.letters:
-        return None
+def _forced(f: Formula, index: _SurfaceIndex) -> list:
+    """The entries of index whose letter occurs in f only as one positive and
+    one negative surface atom.  Matching such a pair at once never loses a
+    proof: the atoms sit outside every choice scope, so waiting and choosing
+    leave them alone and commute with the match, no other partner for either
+    can appear, and the elementarization only gains truth at the two spots.
+    A match leaves every other atom and path in place, so these pairs are
+    all forced at once: f is provable exactly when their batch's end is."""
     s = facts(f)
-    total = {lid.name: n for lid, n in zip(s.letters, s.counts)
-             if lid.sort == GENERAL}
-    for letter, pp, np in index.letters:
-        if pp and np and total[letter.name] == 2:
-            return MatchPair(pp[0], np[0], _fresh_letter(letter, letter_names(f)))
-    return None
+    total = dict(zip(s.letters, s.counts))
+    return [e for e in index.letters if e[1] and e[2] and total[e[0]] == 2]
 
 
 class _Search:
     def __init__(self, config: ProverConfig):
         self.config = config
-        self.memo: dict[str, bool] = {}
+        self.memo: dict[str, Optional[ProofNode]] = {}
         self.stats = SearchStats()
 
-    def decide(self, f: Formula, depth: int) -> bool:
-        if depth > self.stats.max_depth:
-            self.stats.max_depth = depth
+    def solve(self, f: Formula, depth: int) -> Optional[ProofNode]:
+        """The first-success proof of f, or None.  It depends on f alone, so
+        the memo hands it back wherever f is reached.  After a forced batch
+        that solves, f still walks _tries: its first rule need not match."""
+        stats = self.stats
+        stats.max_depth = max(stats.max_depth, depth)
         key = render_formula(f)
-        verdict = self.memo.get(key)
-        if verdict is not None:
-            self.stats.memo_hits += 1
-            return verdict
-        verdict = self._decide_state(f, depth)
-        self.memo[key] = verdict
-        return verdict
-
-    def _decide_state(self, f: Formula, depth: int) -> bool:
-        self.stats.states += 1
+        if key in self.memo:
+            stats.memo_hits += 1
+            return self.memo[key]
+        stats.states += 1
         index = _SurfaceIndex(f)
+        proof = verdict = None
         if not index.choices:  # the topmost choice on any path is on the surface
             verdict = self._choiceless_verdict(f, index)
-            if verdict is not None:
-                self.stats.shortcut_states += 1
-                return verdict
-        forced = _forced_match_move(f, index)
-        if forced is not None:
-            self.stats.forced_matches += 1
-            return self.decide(apply_move(f, forced), depth + 1)
-        # a plain loop: any() over a generator adds a frame per search level
-        for _, prems in self._tries(f, index):
-            if all(self.decide(p, depth + 1) for p in prems):
-                return True
-        return False
+        if verdict is not None:
+            stats.shortcut_states += 1
+            proof = self._match_chain(f, index) if verdict else None
+        else:
+            batch = canonical_matches(f, _forced(f, index))
+            if batch:
+                stats.forced_matches += len(batch)
+                g = f
+                for m in batch:
+                    g = apply_move(g, m)
+                verdict = self.solve(g, depth + len(batch)) is not None
+                stats.forced_walks += verdict
+            # plain loops: any() or all() would add a frame per search level
+            if verdict is not False:
+                for rule, prems in self._tries(f, index):
+                    nodes = []
+                    for p in prems:
+                        nodes.append(self.solve(p, depth + 1))
+                        if nodes[-1] is None:
+                            break
+                    else:
+                        proof = ProofNode(f, rule, tuple(nodes))
+                        break
+        self.memo[key] = proof
+        return proof
 
     def _tries(self, f: Formula, index: _SurfaceIndex):
         """Each rule the search tries on f, in order, with its premises: wait
@@ -452,24 +443,34 @@ class _Search:
 
     def _choiceless_verdict(self, f: Formula, index: _SurfaceIndex
                             ) -> Optional[bool]:
-        # A choiceless formula whose general letters each have at most one
-        # occurrence per polarity is provable exactly when matching every
-        # positive/negative pair leaves a stable formula: every position is
-        # monotone, so skipping or reordering matches can only lose.  With no
-        # general letter, as in every cl3 goal, that is plain stability.
-        # None when a letter occurs twice in one polarity.
+        # A choiceless formula whose general letters each occur at most once
+        # per polarity is provable exactly when matching every pair leaves a
+        # stable formula: every position is monotone, so skipping or
+        # reordering matches can only lose.  With no general letter, as in
+        # cl3, that is plain stability.  None when a letter repeats.
         letters = index.letters
         if any(len(pp) > 1 or len(np) > 1 for _, pp, np in letters):
             return None
         self.stats.stable_checks += 1
         return is_stable_matched(f, {L.name for L, pp, np in letters if pp and np})
 
-    def build(self, f: Formula, depth: int) -> ProofNode:
-        for rule, prems in self._tries(f, _SurfaceIndex(f)):
-            if all(self.decide(p, depth + 1) for p in prems):
-                return ProofNode(f, rule,
-                                 tuple(self.build(p, depth + 1) for p in prems))
-        raise ProverError("build reached a state the verdict pass rejected")
+    def _match_chain(self, f: Formula, index: _SurfaceIndex) -> ProofNode:
+        """The proof of a choiceless f that _choiceless_verdict proves: its
+        canonical matches up to the first stable state, then a wait.  On an
+        unstable state the naive search tries the first match, which keeps
+        the verdict: matching the remaining pairs after it gives the formula
+        the verdict tested, up to fresh names."""
+        steps = []
+        for m in canonical_matches(f, index.letters):
+            self.stats.stable_checks += 1
+            if is_stable(f):
+                break
+            steps.append((f, m))
+            f = apply_move(f, m)
+        proof = ProofNode(f, WAIT)
+        for g, m in reversed(steps):
+            proof = ProofNode(g, m, (proof,))
+        return proof
 
 
 def prove_with_stats(f: Formula, config: Optional[ProverConfig] = None
@@ -479,10 +480,7 @@ def prove_with_stats(f: Formula, config: Optional[ProverConfig] = None
     if config.logic is Logic.CL3 and has_general(f):
         raise GoalError("cl3 goals must not contain general letters")
     search = _Search(config)
-    if not search.decide(f, 1):
-        return None, search.stats
-    proof = search.build(f, 1)
-    return proof, search.stats
+    return search.solve(f, 1), search.stats
 
 
 def prove(f: Formula, config: Optional[ProverConfig] = None) -> Optional[ProofNode]:

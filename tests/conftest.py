@@ -15,6 +15,7 @@ import json
 import random
 
 from clprover.bridge import BridgeError, _extract, _replay, strategy_to_proof
+from clprover.elementary import is_stable
 from clprover.formula import (
     Atom, Bot, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, Formula, FormulaError,
     LetterId, ParAnd, ParOr, Top, Variable, BOT, ELEMENTARY, GENERAL, TOP,
@@ -206,6 +207,26 @@ def naive_provable(f: Formula, logic: Logic = Logic.CL4) -> bool:
     return any(naive_provable(g, logic) for g in _oracle_moves(f, logic))
 
 
+def ref_provable(f: Formula, config: ProverConfig) -> bool:
+    """Provability by every rule of the package, with no shortcut and no
+    pruning: f is provable when it is stable and all its wait premises are,
+    or when the result of any move of enumerate_moves is.  Each state's
+    verdict is memoized by its text, which keeps whole reduction images
+    within reach; naive_provable, which has no memo, does not finish them."""
+    memo: dict[str, bool] = {}
+
+    def provable(g: Formula) -> bool:
+        key = render_formula(g)
+        verdict = memo.get(key)
+        if verdict is None:
+            verdict = (is_stable(g) and all(provable(p) for p in wait_premises(g))) \
+                or any(provable(apply_move(g, m)) for m in enumerate_moves(g, config))
+            memo[key] = verdict
+        return verdict
+
+    return provable(f)
+
+
 def ref_first_success_proof(f: Formula, config: ProverConfig):
     """The proof a first-success depth-first search finds: wait when f is
     stable and every wait premise is provable, or else the first move of the
@@ -326,6 +347,17 @@ def ref_forced_match_move(f: Formula):
             return MatchPair(pos[letter.name], neg[letter.name],
                              _fresh_letter(letter, letter_names(f)))
     return None
+
+
+def ref_forced_batch(f: Formula) -> list[MatchPair]:
+    """The forced matches of f, one reference forced match at a time."""
+    moves = []
+    move = ref_forced_match_move(f)
+    while move is not None:
+        moves.append(move)
+        f = apply_move(f, move)
+        move = ref_forced_match_move(f)
+    return moves
 
 
 def ref_first_match_move(f: Formula):

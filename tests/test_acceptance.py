@@ -14,7 +14,7 @@ import time
 import pytest
 
 from conftest import (
-    equal_mod_general_letters, flatten_parallel, random_formula,
+    equal_mod_general_letters, flatten_parallel, random_formula, ref_provable,
     tt_atom_keys, tt_valid,
 )
 from clprover.bridge import canonicalize_proof, proof_to_strategy, strategy_to_proof
@@ -233,12 +233,32 @@ def _mutants(proof):
     yield out
 
 
+def _fixed_mutants():
+    """Hand-built proofs that must be rejected, each with the diagnostic it
+    must get."""
+    # a match on the fresh letter q, which already occurs; the premise it
+    # would give is stable, and the search refutes the conclusion
+    f = parse_formula("(P /\\ q) \\/ ~P")
+    premise = ProofNode(parse_formula("(q /\\ q) \\/ ~q"), WAIT, ())
+    match = MatchPair((0, 0), (1,), LetterId(ELEMENTARY, "q", 0))
+    yield ProofNode(f, match, (premise,)), "root: fresh letter q already occurs"
+    # a wait that lists a required premise twice
+    f = parse_formula("T cand (p \\/ ~p)")
+    leaves = tuple(ProofNode(parse_formula(t), WAIT, ()) for t in ("T", "p \\/ ~p"))
+    assert check_proof(ProofNode(f, WAIT, leaves))
+    yield (ProofNode(f, WAIT, leaves + leaves[1:]),
+           "root: wait premises do not match the required set")
+
+
 def test_criterion_7_mutation_rejection(true_proofs):
     applied = accepted = 0
     for _, proof in true_proofs:
         for mutant in _mutants(proof):
             applied += 1
             accepted += bool(check_proof(mutant))
+    for mutant, diagnostic in _fixed_mutants():
+        applied += 1
+        accepted += diagnostic not in check_proof(mutant).diagnostics
     report(7, len(true_proofs) == 100 and accepted == 0,
            f"{applied} mutations over {len(true_proofs)} proofs, "
            f"{accepted} wrongly accepted")
@@ -285,13 +305,17 @@ def test_criterion_9_classical_validity_against_truth_tables(corpus1, bench1):
 
 
 def test_criterion_10_verdicts_stable_under_a_larger_term_pool(corpus1, bench1):
+    # the verdicts of the search, with its shortcuts and its pruning of
+    # fresh constants, against a reference search that has neither and
+    # tries an extra fresh constant
     wide = ProverConfig(term_pool=TermPool.OCCURRING_PLUS_TWO_FRESH)
     wide3 = ProverConfig(logic=Logic.CL3,
                          term_pool=TermPool.OCCURRING_PLUS_TWO_FRESH)
     bad = 0
     for q, row in zip(corpus1, bench1[0]):
-        p4 = prove(reduce_to_cl4(q), wide) is not None
-        p3 = prove(reduce_to_cl3(q), wide3) is not None
+        p4 = ref_provable(reduce_to_cl4(q), wide)
+        p3 = ref_provable(reduce_to_cl3(q), wide3)
         bad += (p4, p3) != (row.cl4, row.cl3)
-    report(10, bad == 0, f"{len(corpus1)} instances, verdicts unchanged with "
-                         f"an extra fresh constant in the pool, {bad} drifted")
+    report(10, len(corpus1) == 165 and bad == 0,
+           f"{len(corpus1)} instances, verdicts equal to an unpruned search "
+           f"with no shortcuts and an extra fresh constant, {bad} drifted")

@@ -63,18 +63,21 @@ def test_prove_json_report(capsys):
     assert doc["stats"]["maxDepth"] <= doc["stats"]["measure"] + 1
     assert doc["stats"]["stableChecks"] >= 1
     assert doc["stats"]["prunedTerms"] == 0  # no choice-ex quantifier
-    # the build pass asks again for the verdict of the premise it picks
-    code, out, _ = run(capsys, "prove", "--formula", "cex x: (p(x) \\/ ~p(1))",
+    # the choose-disjunct moves commute, so q \/ s is reached twice
+    code, out, _ = run(capsys, "prove", "--formula", "(q cor r) \\/ (s cor t)",
                        "--json")
     stats = json.loads(out)["stats"]
-    assert code == 0 and stats["memoHits"] >= 1 and stats["stableChecks"] >= 1
-    assert stats["forcedMatches"] == 0
+    assert code == 1 and stats["memoHits"] >= 1 and stats["stableChecks"] >= 1
+    assert stats["forcedMatches"] == 0 and stats["forcedWalks"] == 0
     # P has one positive and one negative surface occurrence and no other,
-    # so the search matches them at once
+    # so the search matches them at once; the state is then provable, and
+    # its proof chooses p first, which the walk of its rules finds
     code, out, _ = run(capsys, "prove", "--formula", "P \\/ ~P \\/ (p cor q)",
                        "--json")
-    stats = json.loads(out)["stats"]
-    assert code == 0 and stats["forcedMatches"] >= 1
+    doc = json.loads(out)
+    stats = doc["stats"]
+    assert code == 0 and stats["forcedMatches"] >= 1 and stats["forcedWalks"] >= 1
+    assert doc["proof"]["rule"] == "choose-disjunct"
     # once the image has constants, the search skips the fresh constant
     image = render_formula(reduce_to_cl4(parse_qbf(
         "exists x forall y exists z : (x | y | z)")))

@@ -16,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     random_formula, ref_bound_variables, ref_constants, ref_first_match_move,
-    ref_forced_match_move, ref_free_variables, ref_has_choice, ref_has_general,
-    ref_letter_table, ref_match_all, ref_match_moves, ref_measure, ref_surface,
-    ref_surface_general_atoms, ref_wait_premises,
+    ref_forced_batch, ref_forced_match_move, ref_free_variables,
+    ref_has_choice, ref_has_general, ref_letter_table, ref_match_all,
+    ref_match_moves, ref_measure, ref_surface, ref_surface_general_atoms,
+    ref_wait_premises,
 )
 from clprover.elementary import is_stable, is_stable_matched
 from clprover.formula import (
@@ -30,7 +31,8 @@ from clprover.formula import (
 )
 from clprover.prover import (
     ChooseTerm, MatchPair, MoveError, ProverConfig, _Search, _SurfaceIndex,
-    _forced_match_move, _resolve_surface, apply_move, canonical_matches,
+    _forced,
+    _resolve_surface, apply_move, canonical_matches,
     enumerate_moves, measure, wait_premises,
 )
 
@@ -81,14 +83,16 @@ def assert_queries_match(f):
     assert [m for m in enumerate_moves(f, ProverConfig())
             if isinstance(m, MatchPair)] == ref_match_moves(f)
     assert_endgame_matches(f)
-    assert _forced_match_move(f, _SurfaceIndex(f)) == ref_forced_match_move(f)
+    batch = canonical_matches(f, _forced(f, _SurfaceIndex(f)))
+    assert (batch[0] if batch else None) == ref_forced_match_move(f)
+    assert batch == ref_forced_batch(f)
 
 
 def assert_endgame_matches(f):
     """canonical_matches plays the same matches as ref_first_match_move one
     step at a time, and reaches the same formula; returns the letters it
     matched."""
-    moves = canonical_matches(f, _SurfaceIndex(f))
+    moves = canonical_matches(f, _SurfaceIndex(f).letters)
     final, ref_moves = ref_match_all(f)
     assert moves == ref_moves
     assert (moves[0] if moves else None) == ref_first_match_move(f)

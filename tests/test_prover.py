@@ -284,6 +284,10 @@ def test_deeply_nested_choice_is_decided():
     # would add a frame per level and fail here
     f = parse_formula("q \\/ " + "(p cor " * 200 + "~p" + ")" * 200)
     assert prove(f) is None
+    # one pass holds one frame per level, where a verdict pass and a build
+    # pass held two and stopped at about 250 levels
+    f = parse_formula("q \\/ " + "(p cor " * 400 + "~q" + ")" * 400)
+    assert check_proof(prove(f))
 
 
 # ---------------------------------------------------------------------------
