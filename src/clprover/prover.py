@@ -406,7 +406,7 @@ class _Search:
                 verdict = self.solve(g, depth + len(batch)) is not None
                 stats.forced_walks += verdict
             # plain loops: any() or all() would add a frame per search level
-            if verdict is not False:
+            if verdict is not False:  # no batch, or a batch that solves
                 for rule, prems in self._tries(f, index):
                     nodes = []
                     for p in prems:
@@ -443,11 +443,12 @@ class _Search:
 
     def _choiceless_verdict(self, f: Formula, index: _SurfaceIndex
                             ) -> Optional[bool]:
-        # A choiceless formula whose general letters each occur at most once
-        # per polarity is provable exactly when matching every pair leaves a
-        # stable formula: every position is monotone, so skipping or
-        # reordering matches can only lose.  With no general letter, as in
-        # cl3, that is plain stability.  None when a letter repeats.
+        # A choiceless formula whose general letters each have at most one
+        # occurrence per polarity is provable exactly when matching every
+        # positive/negative pair leaves a stable formula: every position is
+        # monotone, so skipping or reordering matches can only lose.  With no
+        # general letter, as in every cl3 goal, that is plain stability.
+        # None when a letter occurs twice in one polarity.
         letters = index.letters
         if any(len(pp) > 1 or len(np) > 1 for _, pp, np in letters):
             return None

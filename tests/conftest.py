@@ -3,8 +3,10 @@
 Everything here recomputes its answer from first principles, so the library
 never gets to certify itself: classical validity comes from a plain truth
 table, provability from an unmemoized search that tries every applicable rule
-and every candidate term, sentence values from folding a full assignment
-table, and strategy-tree existence from enumerating all shaped trees.
+and every candidate term (or, on whole reduction images, from a memoized one
+over the package's rules with none of its shortcuts), sentence values from
+folding a full assignment table, and strategy-tree existence from
+enumerating all shaped trees.
 """
 
 from __future__ import annotations

@@ -16,10 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     random_formula, ref_bound_variables, ref_constants, ref_first_match_move,
-    ref_forced_batch, ref_forced_match_move, ref_free_variables,
-    ref_has_choice, ref_has_general, ref_letter_table, ref_match_all,
-    ref_match_moves, ref_measure, ref_surface, ref_surface_general_atoms,
-    ref_wait_premises,
+    ref_forced_batch, ref_free_variables, ref_has_choice, ref_has_general,
+    ref_letter_table, ref_match_all, ref_match_moves, ref_measure, ref_surface,
+    ref_surface_general_atoms, ref_wait_premises,
 )
 from clprover.elementary import is_stable, is_stable_matched
 from clprover.formula import (
@@ -31,8 +30,7 @@ from clprover.formula import (
 )
 from clprover.prover import (
     ChooseTerm, MatchPair, MoveError, ProverConfig, _Search, _SurfaceIndex,
-    _forced,
-    _resolve_surface, apply_move, canonical_matches,
+    _forced, _resolve_surface, apply_move, canonical_matches,
     enumerate_moves, measure, wait_premises,
 )
 
@@ -83,9 +81,7 @@ def assert_queries_match(f):
     assert [m for m in enumerate_moves(f, ProverConfig())
             if isinstance(m, MatchPair)] == ref_match_moves(f)
     assert_endgame_matches(f)
-    batch = canonical_matches(f, _forced(f, _SurfaceIndex(f)))
-    assert (batch[0] if batch else None) == ref_forced_match_move(f)
-    assert batch == ref_forced_batch(f)
+    assert canonical_matches(f, _forced(f, _SurfaceIndex(f))) == ref_forced_batch(f)
 
 
 def assert_endgame_matches(f):

@@ -16,9 +16,10 @@ from clprover.formula import (
 )
 from clprover.prover import (
     ChooseDisjunct, ChooseTerm, GoalError, Logic, MatchPair, ProofFormatError,
-    ProofNode, ProverConfig, TermPool, WAIT, apply_move, check_proof,
-    enumerate_moves, json_text, measure, proof_from_json, proof_to_dict,
-    proof_to_json, prove, prove_with_stats, term_pool, wait_premises,
+    ProofNode, ProverConfig, TermPool, WAIT, _SurfaceIndex, _forced,
+    apply_move, check_proof, enumerate_moves, json_text, measure,
+    proof_from_json, proof_to_dict, proof_to_json, prove, prove_with_stats,
+    term_pool, wait_premises,
 )
 from clprover.qbf import (
     eval_qbf, parse_qbf, random_corpus, strategy_to_dict, strategy_to_json,
@@ -279,13 +280,22 @@ def test_stable_checks_count_every_stability_check(monkeypatch, goal, config):
     assert calls and stats.stable_checks == len(calls)
 
 
+def test_forced_batch_leaves_a_letter_with_a_third_occurrence():
+    # ~P and the surface P are P's only surface pair, but a third P waits
+    # inside the cor: matching the pair at once would lose the proof that
+    # first chooses that P and matches ~P with it
+    f = parse_formula("~P \\/ (P /\\ r) \\/ (P cor F)")
+    assert _forced(f, _SurfaceIndex(f)) == []
+    proof = prove(f)
+    assert naive_provable(f) and proof is not None and check_proof(proof)
+
+
 def test_deeply_nested_choice_is_decided():
     # the search recurses once per move; any() over the rule generator
     # would add a frame per level and fail here
     f = parse_formula("q \\/ " + "(p cor " * 200 + "~p" + ")" * 200)
     assert prove(f) is None
-    # one pass holds one frame per level, where a verdict pass and a build
-    # pass held two and stopped at about 250 levels
+    # a provable goal twice as deep: the pass that decides it builds its proof
     f = parse_formula("q \\/ " + "(p cor " * 400 + "~q" + ")" * 400)
     assert check_proof(prove(f))
 
