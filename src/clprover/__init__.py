@@ -7,7 +7,7 @@ from .formula import (
     SubstitutionError, TOP, Term, Top, Variable, parse_formula,
     render_formula, substitute_var, validate_formula,
 )
-from .elementary import elementarize, evaluate, is_stable, is_valid_classical
+from .elementary import is_stable
 from .prover import (
     CheckResult, ChooseDisjunct, ChooseTerm, Logic, MatchPair, Move,
     MoveError, ProofNode, ProverConfig, ProverError, SearchStats, TermPool,
@@ -20,7 +20,7 @@ from .qbf import (
     render_qdimacs, strategy_from_json, strategy_to_json,
     winning_strategy_tree,
 )
-from .reduction import qm, reduce_to_cl3, reduce_to_cl4
+from .reduction import reduce_to_cl3, reduce_to_cl4
 from .bridge import (
     BridgeError, canonicalize_proof, proof_to_strategy, strategy_to_proof,
 )

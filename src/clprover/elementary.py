@@ -1,4 +1,4 @@
-"""Elementarization and classical validity.
+"""Stability: classical validity of a formula's elementarization.
 
 The elementarization of a formula forgets everything interactive about it:
 surface choice conjunctions and choice-all quantifiers become T, surface
@@ -6,7 +6,8 @@ choice disjunctions and choice-ex quantifiers become F, and surface general
 literals become F (a positive one is unresolved, a negated one is the
 negation of something at least as strong as T).  What remains is a classical
 formula over elementary literals, and a formula is stable when that remnant
-is classically valid.
+is classically valid.  An elementary formula is its own elementarization, so
+is_stable of an elementary formula is its classical validity.
 
 Validity is decided on the structure of the formula, with no truth
 assignments.  The check flattens a disjunction into its literals, T, F and
@@ -21,36 +22,15 @@ remain, where the test above is exact.
 Stability is read off the formula itself, with no elementarized copy: the
 check counts a surface choice conjunction or choice-all quantifier as T and
 skips a choice disjunction, a choice-ex quantifier and a general literal as
-it skips F.  elementarize builds the copy all the same; it is the reference
-definition that the tests hold the check to.
+it skips F.  The reference elementarization is `oracle_elementarize` in
+tests/conftest.py, and the tests hold the check to a truth table of it.
 """
 
 from __future__ import annotations
 
 from .formula import (
-    Atom, Bot, ChoAll, ChoAnd, ChoEx, ChoOr, Formula, FormulaError,
-    GENERAL, ParAnd, ParOr, Top, TOP, BOT, Variable, is_elementary,
+    Atom, ChoAll, ChoAnd, Formula, GENERAL, ParAnd, ParOr, Top, Variable,
 )
-
-
-class NotElementaryError(FormulaError):
-    """Classical evaluation applied to a non-elementary formula."""
-
-
-def elementarize(f: Formula) -> Formula:
-    if isinstance(f, (Top, Bot)):
-        return f
-    if isinstance(f, Atom):
-        return BOT if f.letter.sort == GENERAL else f
-    if isinstance(f, ParAnd):
-        return ParAnd(tuple(elementarize(o) for o in f.operands))
-    if isinstance(f, ParOr):
-        return ParOr(tuple(elementarize(o) for o in f.operands))
-    if isinstance(f, (ChoAnd, ChoAll)):
-        return TOP
-    if isinstance(f, (ChoOr, ChoEx)):
-        return BOT
-    raise FormulaError(f"not a formula node: {f!r}")
 
 
 def atom_key(a: Atom) -> tuple:
@@ -58,23 +38,6 @@ def atom_key(a: Atom) -> tuple:
     literal argument tuple.  Distinct terms give distinct keys."""
     return (a.letter.name,) + tuple(
         (t.name if isinstance(t, Variable) else t.value) for t in a.args)
-
-
-def evaluate(f: Formula, assignment: dict) -> bool:
-    """Truth value of an elementary formula under a {atom_key: bool} map.
-    Unassigned keys default to False."""
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Atom):
-        v = assignment.get(atom_key(f), False)
-        return not v if f.negated else v
-    if isinstance(f, ParAnd):
-        return all(evaluate(o, assignment) for o in f.operands)
-    if isinstance(f, ParOr):
-        return any(evaluate(o, assignment) for o in f.operands)
-    raise NotElementaryError(f"not an elementary formula: {f!r}")
 
 
 def _valid(pending: list, lits: set, keep=frozenset()) -> bool:
@@ -108,13 +71,6 @@ def _valid(pending: list, lits: set, keep=frozenset()) -> bool:
         return False
     # D \/ (c1 /\ ... /\ ck) is valid exactly when every D \/ ci is.
     return all(_valid(rest + [c], lits, keep) for c in conj.operands)
-
-
-def is_valid_classical(f: Formula) -> bool:
-    """Classical validity of an elementary formula."""
-    if not is_elementary(f):
-        raise NotElementaryError(f"not an elementary formula: {f!r}")
-    return _valid([f], set())
 
 
 def is_stable(f: Formula) -> bool:

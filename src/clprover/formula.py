@@ -411,12 +411,6 @@ def has_general(f: Formula) -> bool:
     return facts(f).generals > 0
 
 
-def is_elementary(f: Formula) -> bool:
-    """No choice operators and no general letters anywhere."""
-    s = facts(f)
-    return not s.choices and not s.generals
-
-
 # ---------------------------------------------------------------------------
 # substitution
 

@@ -571,27 +571,34 @@ def _path_from_json(v, field_name: str) -> Path:
 
 
 def proof_to_dict(node: ProofNode) -> dict:
-    d: dict = {"formula": render_formula(node.conclusion)}
-    rule = node.rule
-    if isinstance(rule, Wait):
-        d["rule"] = "wait"
-    elif isinstance(rule, ChooseDisjunct):
-        d["rule"] = "choose-disjunct"
-        d["path"] = list(rule.path)
-        d["index"] = rule.index
-    elif isinstance(rule, ChooseTerm):
-        d["rule"] = "choose-term"
-        d["path"] = list(rule.path)
-        d["term"] = _term_to_json(rule.term)
-    elif isinstance(rule, MatchPair):
-        d["rule"] = "match"
-        d["posPath"] = list(rule.pos_path)
-        d["negPath"] = list(rule.neg_path)
-        d["fresh"] = {"name": rule.fresh.name, "arity": rule.fresh.arity}
-    else:
-        raise ProofFormatError(f"unknown rule {rule!r}")
-    d["premises"] = [proof_to_dict(p) for p in node.premises]
-    return d
+    """The JSON object of a proof.  Each node's dict is filled when the node
+    is popped from an explicit stack, in pre-order, with no recursion."""
+    root: dict = {}
+    stack = [(node, root)]
+    while stack:
+        node, d = stack.pop()
+        d["formula"] = render_formula(node.conclusion)
+        rule = node.rule
+        if isinstance(rule, Wait):
+            d["rule"] = "wait"
+        elif isinstance(rule, ChooseDisjunct):
+            d["rule"] = "choose-disjunct"
+            d["path"] = list(rule.path)
+            d["index"] = rule.index
+        elif isinstance(rule, ChooseTerm):
+            d["rule"] = "choose-term"
+            d["path"] = list(rule.path)
+            d["term"] = _term_to_json(rule.term)
+        elif isinstance(rule, MatchPair):
+            d["rule"] = "match"
+            d["posPath"] = list(rule.pos_path)
+            d["negPath"] = list(rule.neg_path)
+            d["fresh"] = {"name": rule.fresh.name, "arity": rule.fresh.arity}
+        else:
+            raise ProofFormatError(f"unknown rule {rule!r}")
+        d["premises"] = kids = [{} for _ in node.premises]
+        stack.extend(reversed(list(zip(node.premises, kids))))
+    return root
 
 
 _RULE_KEYS = {

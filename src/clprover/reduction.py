@@ -19,23 +19,10 @@ formula with elementary letters, which lands in the match-free logic.
 from __future__ import annotations
 
 from .formula import (
-    Atom, ChoAll, ChoAnd, ChoEx, Constant, Formula, LetterId, ParAnd, ParOr,
-    TOP, Variable, GENERAL, ELEMENTARY,
-    replace_at, subformulas, substitute_var,
+    Atom, ChoAnd, ChoEx, Constant, Formula, LetterId, ParAnd, ParOr, TOP,
+    Variable, GENERAL, ELEMENTARY,
 )
 from .qbf import EXISTS, Lit, Qbf, validate_qbf
-
-
-def qm(f: Formula, value: int) -> Formula:
-    """Strip the leftmost choice quantifier and put the constant in for its
-    variable."""
-    if value < 0:
-        raise ValueError(f"{value} is not a natural number")
-    for path, node in subformulas(f):
-        if isinstance(node, (ChoAll, ChoEx)):
-            body = substitute_var(node.body, node.var, Constant(value))
-            return replace_at(f, path, body)
-    raise ValueError("formula has no choice quantifier")
 
 
 def _literal_form(lit: Lit, letter: LetterId) -> Formula:

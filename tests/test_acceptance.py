@@ -14,12 +14,12 @@ import time
 import pytest
 
 from conftest import (
-    equal_mod_general_letters, flatten_parallel, random_formula, ref_provable,
-    tt_atom_keys, tt_valid,
+    equal_mod_general_letters, flatten_parallel, oracle_elementarize,
+    random_formula, ref_provable, tt_atom_keys, tt_valid,
 )
 from clprover.bridge import canonicalize_proof, proof_to_strategy, strategy_to_proof
 from clprover.cli import bench_run
-from clprover.elementary import elementarize, is_stable, is_valid_classical
+from clprover.elementary import is_stable
 from clprover.formula import (
     Atom, Constant, ELEMENTARY, LetterId, ParAnd, ParOr, Variable,
     letter_names, parse_formula,
@@ -273,14 +273,14 @@ def test_criterion_8_search_depth_within_measure(bench1, bench2):
 
 
 def test_criterion_9_classical_validity_against_truth_tables(corpus1, bench1):
-    seen = set()
-    pool = []
+    # the elementarizations, where is_stable is classical validity, and
+    # the conclusions themselves, where the search calls is_stable
+    conclusions = {}
 
     def collect(f):
-        el = elementarize(f)
-        if len(tt_atom_keys(el)) <= 12 and el not in seen:
-            seen.add(el)
-            pool.append(el)
+        el = oracle_elementarize(f)
+        if len(tt_atom_keys(el)) <= 12:
+            conclusions[f] = el
 
     cl3 = ProverConfig(logic=Logic.CL3)
     for q, row in zip(corpus1, bench1[0]):
@@ -298,10 +298,14 @@ def test_criterion_9_classical_validity_against_truth_tables(corpus1, bench1):
         node = stack.pop()
         collect(node.conclusion)
         stack.extend(node.premises)
-    bad = sum(is_valid_classical(f) != tt_valid(f) for f in pool)
-    report(9, len(pool) > 0 and bad == 0,
-           f"{len(pool)} distinct elementarizations, validity matches the "
-           f"truth table oracle, {bad} mismatches")
+    valid = {el: tt_valid(el) for el in conclusions.values()}
+    bad = sum(is_stable(el) != v for el, v in valid.items())
+    # valid[el] is oracle_stable(f), with one truth table per elementarization
+    bad += sum(is_stable(f) != valid[el] for f, el in conclusions.items())
+    report(9, len(valid) > 0 and bad == 0,
+           f"{len(valid)} distinct elementarizations, validity matches the "
+           f"truth table oracle, and so does stability on "
+           f"{len(conclusions)} distinct conclusions, {bad} mismatches")
 
 
 def test_criterion_10_verdicts_stable_under_a_larger_term_pool(corpus1, bench1):

@@ -2,14 +2,17 @@ import random
 
 import pytest
 
-from conftest import golden_proofs, random_formula, ref_canonical
+from conftest import (
+    golden_proofs, random_formula, ref_canonical, ref_has_choice,
+    ref_has_general,
+)
 from clprover.bridge import (
     BridgeError, _dec_tree, canonicalize_proof, proof_to_strategy,
     strategy_to_proof,
 )
 from clprover.elementary import is_stable
 from clprover.formula import (
-    TOP, Atom, ChoAll, Constant, LetterId, ParOr, Variable, is_elementary,
+    TOP, Atom, ChoAll, Constant, LetterId, ParOr, Variable,
     parse_formula, render_formula,
 )
 from clprover.prover import (
@@ -51,7 +54,8 @@ def test_single_level_proof_shape():
     assert [type(r).__name__ for r in rules] == \
         ["ChooseTerm", "MatchPair", "MatchPair", "MatchPair", "Wait"]
     leaf = list(proof_nodes(proof))[-1]
-    assert is_elementary(leaf.conclusion) and is_stable(leaf.conclusion)
+    assert not ref_has_choice(leaf.conclusion)
+    assert not ref_has_general(leaf.conclusion) and is_stable(leaf.conclusion)
     assert check_proof(proof)
 
 
@@ -90,7 +94,8 @@ def test_every_wait_leaf_is_a_stable_leaf_form():
     proof = strategy_to_proof(WORKED_PHI, tree)
     for node in proof_nodes(proof):
         if node.rule is WAIT and not node.premises:
-            assert is_elementary(node.conclusion)
+            assert not ref_has_choice(node.conclusion)
+            assert not ref_has_general(node.conclusion)
             assert is_stable(node.conclusion)
 
 

@@ -1,7 +1,9 @@
 """End-to-end runs of the command line front end via main(argv)."""
 
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 import clprover
 from clprover.cli import main
 from clprover.formula import parse_formula, render_formula
-from clprover.prover import check_proof, proof_from_json
+from clprover.prover import check_proof, proof_from_json, proof_to_json, prove
 from clprover.qbf import (
     parse_qbf, render_qdimacs, strategy_to_dict, strategy_to_json,
     winning_strategy_tree,
@@ -387,6 +389,15 @@ def test_deep_input_exits_two(capsys):
     assert f == reduce_to_cl4(parse_qbf(q))  # nor does node equality
 
 
+def test_deeply_nested_proof_is_written(capsys):
+    # the search decides 500 levels, and writing the proof takes no frame
+    # per level
+    text = "q \\/ " + "(p cor " * 500 + "~q" + ")" * 500
+    code, out, _ = run(capsys, "prove", "--formula", text)
+    assert code == 0
+    assert out == f"provable in cl4\n{proof_to_json(prove(parse_formula(text)))}\n"
+
+
 def test_deeply_nested_formula_exits_two(capsys):
     # the search still recurses once per move
     deep = "p cor (" * 1000 + "p" + ")" * 1000
@@ -408,3 +419,127 @@ def test_conflicting_sources_exit_two(capsys, tmp_path):
                        "--in", str(src))
     assert code == 2
     assert "not both" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every reader ends in exit status 0, 1 or 2
+
+_TOKENS = ["(", ")", "~", "-", "0", "1", "7", "99999", " ", "\n", ":", ",",
+           "x", "P", "cex ", "cand ", "/\\", "\\/", "exists ", "forall ",
+           "a ", "e ", "p cnf 3 2\n", "|", "&", "{", "}", "[", "]", '"',
+           "null", "-1", "1.5", "\u2293", "\u00e9"]
+_ODD = [None, True, False, 0, -1, 2, 10**20, 1.5, "", "x", "wait", "match",
+        [], [0], [-1], {}, {"name": "p", "arity": 1}]
+_KEYS = ["formula", "rule", "premises", "path", "index", "term", "posPath",
+         "negPath", "fresh", "label", "children", "extra"]
+_SWAPS = [("cand", "cor"), ("cex", "call"), ("/\\", "\\/"), ("P", "p"),
+          ("x", "y"), ("0", "1"), ("1", "2"), ("exists", "forall"),
+          ("e ", "a "), ("-", ""), ("|", "&")]
+
+
+def _mutate_text(rng, text):
+    chars = list(text)
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        op = rng.randrange(5)
+        i = rng.randrange(len(chars) + 1)
+        if op == 4:  # swap one word for its partner, which often still parses
+            old, new = rng.choice(_SWAPS)[::rng.choice((1, -1))]
+            j = "".join(chars).find(old, i)
+            if j >= 0:
+                chars[j:j + len(old)] = new
+        elif op == 0:  # drop a span
+            del chars[i:i + rng.randint(1, 4)]
+        elif op == 1:  # insert a token
+            chars[i:i] = rng.choice(_TOKENS)
+        elif op == 2 and chars:  # repeat a span
+            j = rng.randrange(len(chars))
+            chars[i:i] = chars[j:j + rng.randint(1, 8)]
+        elif len(chars) > 1:  # swap two characters
+            j, k = rng.sample(range(len(chars)), 2)
+            chars[j], chars[k] = chars[k], chars[j]
+    return "".join(chars)
+
+
+def _containers(value):
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (dict, list)):
+            yield v
+            stack.extend(v.values() if isinstance(v, dict) else v)
+
+
+def _mutate_json(rng, value):
+    """Drop and add keys and items, swap value types and edit strings."""
+    if rng.random() < 0.05:
+        return json.dumps(rng.choice(_ODD))
+    doc = copy.deepcopy(value)
+    for _ in range(rng.randint(1, 3)):
+        c = rng.choice(list(_containers(doc)))
+        slots = list(c) if isinstance(c, dict) else list(range(len(c)))
+        op = rng.randrange(4)
+        if op == 0 and slots:
+            del c[rng.choice(slots)]
+        elif op == 1:
+            odd = copy.deepcopy(rng.choice(_ODD))
+            if isinstance(c, dict):
+                c[rng.choice(_KEYS)] = odd
+            else:
+                c.insert(rng.randint(0, len(c)), odd)
+        elif op == 2 and slots:
+            c[rng.choice(slots)] = copy.deepcopy(rng.choice(_ODD))
+        elif slots:
+            k = rng.choice(slots)
+            if isinstance(c[k], str):
+                c[k] = _mutate_text(rng, c[k])
+            elif isinstance(c[k], int) and not isinstance(c[k], bool):
+                c[k] = rng.choice([-1, c[k] + 1, 2, 10**20])
+    text = json.dumps(doc, ensure_ascii=False)
+    return _mutate_text(rng, text) if rng.random() < 0.2 else text
+
+
+def test_fuzzed_inputs_end_in_an_exit_status(capsys, tmp_path):
+    # mutated inputs for each reader: no exception leaves main, and the
+    # commands with no negative outcome never exit 1
+    rng = random.Random(27)
+    q = parse_qbf(TRIPLE_Q)
+    tree = strategy_to_dict(winning_strategy_tree(q))
+    proofs = [json.loads(proof_to_json(prove(reduce_to_cl4(q)))),
+              json.loads(proof_to_json(prove(parse_formula("P \\/ ~P"))))]
+    sentences = [TRIPLE_Q, FALSE_Q, render_qdimacs(q)]
+    formulas = [render_formula(reduce_to_cl4(q)),
+                "(P(0) cand P(1)) \\/ cex x: (~P(x) /\\ (p \\/ ~p))"]
+    src = tmp_path / "input"
+    readers = [
+        ("check",), ("strategy", "check"), ("strategy", "to-proof"),
+        ("qbf", "eval"), ("qbf", "normalize"), ("reduce",), ("roundtrip",),
+        ("strategy", "extract"), ("prove",),
+    ]
+    for n in range(1000):
+        command = readers[n % len(readers)]
+        if command == ("check",):
+            src.write_text(_mutate_json(rng, rng.choice(proofs)), encoding="utf-8")
+            argv = ["check", "--proof", str(src), "--logic",
+                    rng.choice(["cl4", "cl3"])]
+        elif command[0] == "strategy" and command[1] != "extract":
+            src.write_text(_mutate_json(rng, tree), encoding="utf-8")
+            argv = [*command, "--qbf", TRIPLE_Q, "--strategy", str(src)]
+        elif command == ("prove",):
+            src.write_text(_mutate_text(rng, rng.choice(formulas)), encoding="utf-8")
+            argv = ["prove", "--in", str(src), "--logic", rng.choice(["cl4", "cl3"])]
+        else:
+            src.write_text(_mutate_text(rng, rng.choice(sentences)), encoding="utf-8")
+            argv = [*command, "--in", str(src)]
+            if command == ("reduce",):
+                argv += ["--target", rng.choice(["cl4", "cl3"])]
+        if rng.random() < 0.3:
+            argv.append("--json")
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's usage error
+            code = e.code
+            assert code == 2, argv
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        if command in (("reduce",), ("qbf", "normalize"), ("strategy", "to-proof")):
+            assert code != 1, argv

@@ -25,8 +25,8 @@ from clprover.formula import (
     VALID_MARK, Atom, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, ELEMENTARY,
     Facts, FormulaError, GENERAL, LetterId, ParAnd, ParOr, SubstitutionError,
     Variable, bound_variables, constants, facts, free_variables, has_general,
-    is_elementary, known_facts, letter_names, letter_table, parse_formula,
-    render_formula, replace_at, subformulas, substitute_var, validate_formula,
+    known_facts, letter_names, letter_table, parse_formula, render_formula,
+    replace_at, subformulas, substitute_var, validate_formula,
 )
 from clprover.prover import (
     ChooseTerm, MatchPair, MoveError, ProverConfig, _Search, _SurfaceIndex,
@@ -66,7 +66,6 @@ def assert_queries_match(f):
     assert constants(f) == ref_constants(f)
     assert (facts(f).choices > 0) == ref_has_choice(f)
     assert has_general(f) == ref_has_general(f)
-    assert is_elementary(f) == (not ref_has_choice(f) and not ref_has_general(f))
     assert measure(f) == ref_measure(f)
     try:
         table = ref_letter_table(f)

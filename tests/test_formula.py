@@ -9,9 +9,9 @@ from conftest import (
 from clprover.formula import (
     Atom, BOT, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, ELEMENTARY, FormulaError,
     GENERAL, LetterId, ParAnd, ParOr, ParseError, PathError, SubstitutionError,
-    TOP, Variable, children, free_variables, bound_variables, is_elementary,
-    letter_table, parse_formula, render_formula, replace_at, subformulas,
-    substitute_var, validate_formula,
+    TOP, Variable, children, facts, free_variables, bound_variables,
+    has_general, letter_table, parse_formula, render_formula, replace_at,
+    subformulas, substitute_var, validate_formula,
 )
 from clprover.prover import _SurfaceIndex
 
@@ -290,8 +290,9 @@ def test_letter_table_and_elementary_flag():
     f = parse_formula("p(0) /\\ (P cor q(x, y))")
     assert letter_table(f) == {(ELEMENTARY, "p"): 1, (GENERAL, "P"): 0,
                                (ELEMENTARY, "q"): 2}
-    assert not is_elementary(f)
-    assert is_elementary(parse_formula("p(0) /\\ ~q"))
+    assert facts(f).choices and has_general(f)
+    g = parse_formula("p(0) /\\ ~q")
+    assert not facts(g).choices and not has_general(g)
 
 
 def test_validate_catches_hand_built_breakage():

@@ -1,5 +1,3 @@
-import pytest
-
 from conftest import (
     equal_mod_general_letters, ref_surface_general_atoms, table_qbf_value,
 )
@@ -10,36 +8,9 @@ from clprover.formula import (
 )
 from clprover.prover import Logic, ProverConfig, prove
 from clprover.qbf import exhaustive_unary_corpus, parse_qbf, random_corpus, render_qbf
-from clprover.reduction import qm, reduce_to_cl3, reduce_to_cl4
+from clprover.reduction import reduce_to_cl3, reduce_to_cl4
 
 WORKED_PHI = parse_qbf("exists x forall y exists z : (-x | y | x) & (z | x | -z)")
-
-
-# ---------------------------------------------------------------------------
-# qm
-
-def test_qm_strips_the_leftmost_quantifier():
-    f = parse_formula("cex x: (p(x) \\/ q) /\\ r")
-    assert qm(f, 0) == parse_formula("(p(0) \\/ q) /\\ r")
-    g = parse_formula("call y: p(y)")
-    assert qm(g, 1) == parse_formula("p(1)")
-
-
-def test_qm_gadget_step():
-    f = parse_formula("G(0) \\/ cex x: (~G(x) /\\ p)")
-    assert qm(f, 0) == parse_formula("G(0) \\/ (~G(0) /\\ p)")
-
-
-def test_qm_reaches_nested_quantifiers():
-    f = parse_formula("p cor cex x: q(x)")
-    assert qm(f, 1) == parse_formula("p cor q(1)")
-
-
-def test_qm_errors():
-    with pytest.raises(ValueError):
-        qm(parse_formula("p \\/ q"), 0)
-    with pytest.raises(ValueError):
-        qm(parse_formula("cex x: p(x)"), -1)
 
 
 # ---------------------------------------------------------------------------
