@@ -175,17 +175,6 @@ def children(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-def with_children(f: Formula, new: tuple[Formula, ...]) -> Formula:
-    if isinstance(f, _NARY):
-        return type(f)(new)
-    if isinstance(f, _QUANT):
-        (body,) = new
-        return type(f)(f.var, body)
-    if new:
-        raise PathError("leaf node has no children")
-    return f
-
-
 def _same(f: Formula, g: Formula) -> bool:
     """Structural equality by an explicit stack.  Identical subtrees, which a
     derived formula shares with the one it came from, are not walked."""
@@ -225,14 +214,30 @@ def subformulas(f: Formula) -> Iterator[tuple[Path, Formula]]:
 
 
 def replace_at(f: Formula, path: Path, sub: Formula) -> Formula:
-    if not path:
-        return sub
-    kids = children(f)
-    i = path[0]
-    if not 0 <= i < len(kids):
-        raise PathError(f"path {list(path)} does not address a subformula")
-    new = kids[:i] + (replace_at(kids[i], path[1:], sub),) + kids[i + 1:]
-    return with_children(f, new)
+    """f with sub at path: one loop walks down the path, and rebuild_spine
+    builds anew only the nodes on it."""
+    nodes = [f]
+    for i in path:
+        kids = children(nodes[-1])
+        if not 0 <= i < len(kids):
+            raise PathError(f"path {list(path)} does not address a subformula")
+        nodes.append(kids[i])
+    return rebuild_spine(nodes, path, sub, len(path))
+
+
+def rebuild_spine(nodes: list[Formula], path: Path, sub: Formula, depth: int,
+                  top: int = 0) -> Formula:
+    """nodes[top] rebuilt with sub in place of nodes[depth], where each
+    nodes[k + 1] is child path[k] of nodes[k].  Only the nodes between the
+    two are new; every subtree off the path is shared."""
+    for k in range(depth - 1, top - 1, -1):
+        node, i = nodes[k], path[k]
+        if isinstance(node, _QUANT):
+            sub = type(node)(node.var, sub)
+        else:
+            ops = node.operands
+            sub = type(node)(ops[:i] + (sub,) + ops[i + 1:])
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -419,29 +424,43 @@ def substitute_var(f: Formula, var: str, term: Term) -> Formula:
 
     Raises SubstitutionError if var is bound somewhere in f, or else if term
     is a variable that is bound somewhere in f (which would capture it).  The
-    walk that substitutes reads the binders too.
+    walk that substitutes reads the binders too.  It takes one frame per
+    level and plain loops, and copies an operand tuple only when an operand
+    changed, so every subtree where var does not occur comes back as the
+    very object given.
     """
     captor = term.name if isinstance(term, Variable) else None
     captured = False
 
     def walk(node):
         nonlocal captured
-        if isinstance(node, Atom):
-            if not any(isinstance(t, Variable) and t.name == var for t in node.args):
-                return node
-            args = tuple(term if isinstance(t, Variable) and t.name == var else t
-                         for t in node.args)
-            return Atom(node.letter, args, node.negated)
-        if isinstance(node, _QUANT):
+        kind = type(node)
+        if kind is Atom:
+            args = node.args
+            for t in args:
+                if t.__class__ is Variable and t.name == var:
+                    return Atom(node.letter, tuple([
+                        term if a.__class__ is Variable and a.name == var else a
+                        for a in args]), node.negated)
+            return node
+        if kind in _QUANT:
             if node.var == var:
                 raise SubstitutionError(f"variable {var} is bound in the formula")
             if node.var == captor:
                 captured = True  # reported once the walk has found no binder of var
-        kids = children(node)
-        new = tuple(walk(k) for k in kids)
-        if all(a is b for a, b in zip(new, kids)):
-            return node  # var does not occur below: share the subtree
-        return with_children(node, new)
+            body = walk(node.body)
+            return node if body is node.body else kind(node.var, body)
+        if kind in _NARY:
+            ops = node.operands
+            new = None
+            for i in range(len(ops)):
+                op = walk(ops[i])
+                if op is not ops[i]:
+                    if new is None:
+                        new = list(ops)
+                    new[i] = op
+            return node if new is None else kind(tuple(new))
+        return node
 
     out = walk(f)
     if captured:
@@ -524,8 +543,21 @@ _COMPOUND = frozenset(_NARY + _QUANT)
 _OPEN, _CLOSE = _Text("("), _Text(")")
 
 
-def render_formula(f: Formula) -> str:
-    """Canonical ASCII text; parse_formula is its inverse."""
+class _End(tuple):
+    """(node, start) queued below a compound node's parts when render_formula
+    memoizes: popped once out[start:] holds the node's whole text."""
+    __slots__ = ()
+
+
+def render_formula(f: Formula, texts: Optional[dict] = None) -> str:
+    """Canonical ASCII text; parse_formula is its inverse.
+
+    texts, when given, maps id(node) to (node, text) for compound nodes: a
+    node found there is written from its text, and every compound node
+    rendered here is added.  Each entry holds its node, so no other node can
+    take its id while the dict lives.  A caller makes one dict for one walk
+    over formulas that share subtrees, such as the conclusions of a proof,
+    and drops it when the walk ends."""
     out: list[str] = []
     stack: list = [f]  # nodes still to render, and _Text to emit
     while stack:
@@ -539,7 +571,17 @@ def render_formula(f: Formula) -> str:
             out.append(node.letter.name)
             if node.args:
                 out.append("(" + ", ".join([str(t) for t in node.args]) + ")")
-        elif kind in _PAR_SEPS:
+        elif kind in _COMPOUND:
+            if texts is not None:
+                hit = texts.get(id(node))
+                if hit is not None:
+                    out.append(hit[1])
+                    continue
+                stack.append(_End((node, len(out))))
+            if kind in _QUANT_KW:
+                out.append(f"{_QUANT_KW[kind]} {node.var}: ")
+                stack.append(node.body)
+                continue
             sep = _PAR_SEPS[kind]
             ops = node.operands
             for i in range(len(ops) - 1, -1, -1):
@@ -552,9 +594,11 @@ def render_formula(f: Formula) -> str:
                     stack.append(ops[i])
                 if i:
                     stack.append(sep)
-        elif kind in _QUANT_KW:
-            out.append(f"{_QUANT_KW[kind]} {node.var}: ")
-            stack.append(node.body)
+        elif kind is _End:
+            node, start = node
+            text = "".join(out[start:])
+            out[start:] = (text,)
+            texts[id(node)] = (node, text)
         elif kind is Top:
             out.append("T")
         elif kind is Bot:

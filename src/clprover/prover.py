@@ -30,8 +30,8 @@ from .formula import (
     GENERAL, ELEMENTARY, LetterId, ParAnd, ParOr, Path, Term, Variable,
     VALID_MARK, bound_variables, carry_facts, carry_validity, constants,
     facts, free_variables, has_general, is_letter_name, is_variable_name,
-    known_facts, letter_names, parse_formula, render_formula, replace_at,
-    substitute_var, validate_formula,
+    known_facts, letter_names, parse_formula, rebuild_spine, render_formula,
+    replace_at, substitute_var, validate_formula,
 )
 
 
@@ -202,35 +202,46 @@ def wait_premises(f: Formula, index: Optional[_SurfaceIndex] = None
     return prems
 
 
-def _resolve_surface(f: Formula, path: Path) -> Formula:
-    node = f
-    for i in path:
+def _surface_spine(f: Formula, path: Path,
+                   nodes: Optional[list[Formula]] = None) -> list[Formula]:
+    """The nodes on a surface path, f first and the occurrence it addresses
+    last; raises MoveError when the path leaves the parallel connectives.
+    nodes, when given, holds the first nodes of that list, read off a path
+    with the same first steps, and the walk goes on from its last."""
+    nodes = [f] if nodes is None else nodes
+    node = nodes[-1]
+    for i in path[len(nodes) - 1:]:
         if not isinstance(node, (ParAnd, ParOr)):
             raise MoveError(f"path {list(path)} is not a surface occurrence")
         if not 0 <= i < len(node.operands):
             raise MoveError(f"path {list(path)} does not address a subformula")
         node = node.operands[i]
-    return node
+        nodes.append(node)
+    return nodes
 
 
 def apply_move(f: Formula, move: Move) -> Formula:
     """Result of a single move on f; raises MoveError when inapplicable.
 
-    When f is known to be valid, the result is marked valid too, and a
-    choose-term or a match on a letter's only two occurrences hands it the
-    Facts derived from those of f instead of leaving them to a walk."""
+    Only the nodes on the path the move changes are built anew; the result
+    shares every other subtree with f.  When f is known to be valid, the
+    result is marked valid too, and a choose-term or a match on a letter's
+    only two occurrences hands it the Facts derived from those of f instead
+    of leaving them to a walk."""
     if isinstance(move, ChooseDisjunct):
-        node = _resolve_surface(f, move.path)
+        nodes = _surface_spine(f, move.path)
+        node = nodes[-1]
         if not isinstance(node, ChoOr):
             raise MoveError(f"no surface choice disjunction at path {list(move.path)}")
         if not 0 <= move.index < len(node.operands):
             raise MoveError(f"disjunct index {move.index} out of range")
-        g = replace_at(f, move.path, node.operands[move.index])
+        g = rebuild_spine(nodes, move.path, node.operands[move.index], len(move.path))
         carry_validity(f, g)
         return g
 
     if isinstance(move, ChooseTerm):
-        node = _resolve_surface(f, move.path)
+        nodes = _surface_spine(f, move.path)
+        node = nodes[-1]
         if not isinstance(node, ChoEx):
             raise MoveError(f"no surface choice-ex quantifier at path {list(move.path)}")
         t = move.term
@@ -243,7 +254,7 @@ def apply_move(f: Formula, move: Move) -> Formula:
         else:
             raise MoveError(f"bad term {t!r}")
         body = substitute_var(node.body, node.var, t)
-        g = replace_at(f, move.path, body)
+        g = rebuild_spine(nodes, move.path, body, len(move.path))
         known = known_facts(f)
         if known is not None and known.valid:
             if known is not VALID_MARK:
@@ -253,8 +264,13 @@ def apply_move(f: Formula, move: Move) -> Formula:
         return g
 
     if isinstance(move, MatchPair):
-        pos = _resolve_surface(f, move.pos_path)
-        neg = _resolve_surface(f, move.neg_path)
+        pp, np = move.pos_path, move.neg_path
+        pos_nodes = _surface_spine(f, pp)
+        k = 0  # the two paths share their first k steps
+        while k < len(pp) and k < len(np) and pp[k] == np[k]:
+            k += 1
+        neg_nodes = _surface_spine(f, np, pos_nodes[:k + 1])
+        pos, neg = pos_nodes[-1], neg_nodes[-1]
         for occ, want_neg, which in ((pos, False, "positive"), (neg, True, "negative")):
             if not isinstance(occ, Atom) or occ.letter.sort != GENERAL:
                 raise MoveError(f"{which} path does not address a general atom")
@@ -268,11 +284,21 @@ def apply_move(f: Formula, move: Move) -> Formula:
             raise MoveError(f"fresh letter {fresh.name!r} is not elementary")
         if fresh.arity != pos.letter.arity:
             raise MoveError(f"fresh letter arity {fresh.arity} does not fit")
-        if fresh.name in letter_names(f):
-            raise MoveError(f"fresh letter {fresh.name} already occurs")
-        g = replace_at(f, move.pos_path, Atom(fresh, pos.args, False))
-        g = replace_at(g, move.neg_path, Atom(fresh, neg.args, True))
-        known = facts(f)  # walked by letter_names above
+        known = facts(f)
+        if known.clash:
+            raise FormulaError(known.clash)
+        for lid in known.letters:
+            if lid.name == fresh.name:
+                raise MoveError(f"fresh letter {fresh.name} already occurs")
+        # two distinct atoms: neither path is a prefix of the other, so
+        # they part below the parallel node at depth k, which takes both
+        # new operands at once
+        ops = list(pos_nodes[k].operands)
+        ops[pp[k]] = rebuild_spine(pos_nodes, pp, Atom(fresh, pos.args, False),
+                                   len(pp), k + 1)
+        ops[np[k]] = rebuild_spine(neg_nodes, np, Atom(fresh, neg.args, True),
+                                   len(np), k + 1)
+        g = rebuild_spine(pos_nodes, pp, type(pos_nodes[k])(tuple(ops)), k)
         derived = known.matched(pos.letter, fresh) if known.valid else None
         if derived is not None:
             carry_facts(g, derived)
@@ -519,9 +545,12 @@ def check_proof(root: ProofNode, config: Optional[ProverConfig] = None) -> Check
         if isinstance(rule, Wait):
             if not is_stable(f):
                 diags.append(f"{where}: wait rule on an unstable conclusion")
-            want = sorted(render_formula(p) for p in wait_premises(f))
-            got = sorted(render_formula(p.conclusion) for p in node.premises)
-            if want != got:
+            want = wait_premises(f)
+            got = [p.conclusion for p in node.premises]
+            # premises in derivation order compare by their rebuilt paths
+            # alone; any other order is compared as a set of texts
+            if want != got and \
+                    sorted(map(render_formula, want)) != sorted(map(render_formula, got)):
                 diags.append(f"{where}: wait premises do not match the required set")
         elif isinstance(rule, (ChooseDisjunct, ChooseTerm, MatchPair)):
             if isinstance(rule, MatchPair) and config.logic is Logic.CL3:
@@ -572,12 +601,15 @@ def _path_from_json(v, field_name: str) -> Path:
 
 def proof_to_dict(node: ProofNode) -> dict:
     """The JSON object of a proof.  Each node's dict is filled when the node
-    is popped from an explicit stack, in pre-order, with no recursion."""
+    is popped from an explicit stack, in pre-order, with no recursion.  A
+    conclusion shares most of its subtrees with its parent's, so one render
+    memo serves the whole call and each shared subtree is rendered once."""
+    texts: dict = {}
     root: dict = {}
     stack = [(node, root)]
     while stack:
         node, d = stack.pop()
-        d["formula"] = render_formula(node.conclusion)
+        d["formula"] = render_formula(node.conclusion, texts)
         rule = node.rule
         if isinstance(rule, Wait):
             d["rule"] = "wait"
@@ -610,24 +642,47 @@ _RULE_KEYS = {
 
 
 def proof_from_dict(d) -> ProofNode:
-    """Read a proof node.  Only the root's conclusion is always parsed: a
-    premise whose text is the rendering of a conclusion its parent's rule
-    derives takes that formula, and any other text is parsed.  Parsing
-    inverts rendering, so both give the same node, and check_proof still
-    re-derives every node."""
-    return _node_from_dict(d, {})
+    """Read a proof.  Only the root's conclusion is always parsed: a premise
+    whose text is the rendering of a conclusion its parent's rule derives
+    takes that formula, and any other text is parsed.  Parsing inverts
+    rendering, so both give the same node, and check_proof still re-derives
+    every node.
+
+    Each node's dict is checked when it is popped from an explicit stack, in
+    pre-order, so the first fault in that order is the one reported; each
+    ProofNode is built once its premises are.  The derived premises share
+    subtrees with their parent, so one render memo serves the whole call."""
+    texts: dict = {}
+    read: list[list] = []  # per node in pre-order: conclusion, rule, premises
+    stack = [(d, {}, None)]
+    while stack:
+        d, derived, parent = stack.pop()
+        f, rule = _node_from_dict(d, derived)
+        entry = [f, rule, []]
+        read.append(entry)
+        if parent is not None:
+            parent[2].append(entry)
+        if d["premises"]:
+            known = _derived(f, rule, texts)
+            for p in reversed(d["premises"]):
+                stack.append((p, known, entry))
+    for entry in reversed(read):  # every premise follows its node in pre-order
+        entry.append(ProofNode(entry[0], entry[1], tuple([p[3] for p in entry[2]])))
+    return read[0][3]
 
 
-def _derived(f: Formula, rule: Union[Wait, Move]) -> dict[str, Formula]:
+def _derived(f: Formula, rule: Union[Wait, Move], texts: dict) -> dict[str, Formula]:
     """The premise conclusions rule derives from f, keyed by their text."""
     try:
         prems = wait_premises(f) if isinstance(rule, Wait) else [apply_move(f, rule)]
     except (MoveError, FormulaError):  # the rule does not apply: parse instead
         return {}
-    return {render_formula(p): p for p in prems}
+    return {render_formula(p, texts): p for p in prems}
 
 
-def _node_from_dict(d, derived: dict[str, Formula]) -> ProofNode:
+def _node_from_dict(d, derived: dict[str, Formula]) -> tuple[Formula, Union[Wait, Move]]:
+    """The conclusion and rule of one proof node's dict, which is checked
+    down to the type of its premise list."""
     if not isinstance(d, dict):
         raise ProofFormatError("proof node must be an object")
     missing = {"formula", "rule", "premises"} - d.keys()
@@ -673,8 +728,7 @@ def _node_from_dict(d, derived: dict[str, Formula]) -> ProofNode:
                          LetterId(ELEMENTARY, fr["name"], fr["arity"]))
     if not isinstance(d["premises"], list):
         raise ProofFormatError("premises must be a list")
-    known = _derived(f, rule) if d["premises"] else {}
-    return ProofNode(f, rule, tuple(_node_from_dict(p, known) for p in d["premises"]))
+    return f, rule
 
 
 _scalar = json.JSONEncoder(ensure_ascii=False).encode

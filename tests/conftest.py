@@ -20,9 +20,9 @@ from clprover.bridge import BridgeError, _extract, _replay, strategy_to_proof
 from clprover.elementary import is_stable
 from clprover.formula import (
     Atom, Bot, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, Formula, FormulaError,
-    LetterId, ParAnd, ParOr, Top, Variable, BOT, ELEMENTARY, GENERAL, TOP,
-    children, letter_names, parse_formula, render_formula, replace_at,
-    subformulas, substitute_var, validate_formula, with_children,
+    LetterId, ParAnd, ParOr, PathError, SubstitutionError, Top, Variable, BOT,
+    ELEMENTARY, GENERAL, TOP, children, letter_names, parse_formula,
+    render_formula, subformulas, validate_formula,
 )
 from clprover.prover import (
     _RULE_KEYS, WAIT, ChooseDisjunct, ChooseTerm, Logic, MatchPair,
@@ -118,6 +118,47 @@ def ref_surface_general_atoms(f: Formula) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
+# replacement and substitution by plain recursion
+
+def with_children(f: Formula, new: tuple[Formula, ...]) -> Formula:
+    """The compound node f with the children new."""
+    if isinstance(f, (ChoAll, ChoEx)):
+        (body,) = new
+        return type(f)(f.var, body)
+    return type(f)(tuple(new))
+
+
+def ref_replace_at(f: Formula, path, sub: Formula, _depth: int = 0) -> Formula:
+    if _depth == len(path):
+        return sub
+    kids = children(f)
+    i = path[_depth]
+    if not 0 <= i < len(kids):
+        raise PathError(f"path {list(path)} does not address a subformula")
+    return with_children(f, kids[:i] + (ref_replace_at(kids[i], path, sub, _depth + 1),)
+                         + kids[i + 1:])
+
+
+def ref_substitute(f: Formula, var: str, term) -> Formula:
+    """f with term for every occurrence of var, after checking the binders
+    first: var must not be bound in f, and a variable term must not be."""
+    binders = _binders(f)
+    if var in binders:
+        raise SubstitutionError(f"variable {var} is bound in the formula")
+    if isinstance(term, Variable) and term.name in binders:
+        raise SubstitutionError(f"term variable {term.name} is bound in the formula")
+
+    def walk(g):
+        if isinstance(g, Atom):
+            return Atom(g.letter, tuple(term if t == Variable(var) else t for t in g.args),
+                        g.negated)
+        kids = children(g)
+        return with_children(g, tuple(walk(k) for k in kids)) if kids else g
+
+    return walk(f)
+
+
+# ---------------------------------------------------------------------------
 # naive provability: every rule, every option, no memoization, no shortcuts
 
 def _oracle_fresh_var(f: Formula) -> str:
@@ -162,10 +203,10 @@ def _oracle_wait_premises(f: Formula) -> list[Formula]:
     prems = []
     for path, occ in ref_surface(f, (ChoAnd, ChoAll)):
         if isinstance(occ, ChoAnd):
-            prems.extend(replace_at(f, path, op) for op in occ.operands)
+            prems.extend(ref_replace_at(f, path, op) for op in occ.operands)
         else:
-            body = substitute_var(occ.body, occ.var, Variable(_oracle_fresh_var(f)))
-            prems.append(replace_at(f, path, body))
+            body = ref_substitute(occ.body, occ.var, Variable(_oracle_fresh_var(f)))
+            prems.append(ref_replace_at(f, path, body))
     return prems
 
 
@@ -186,18 +227,18 @@ def _oracle_moves(f: Formula, logic: Logic) -> list[Formula]:
     """Every conclusion-to-premise step other than the waiting one."""
     out = []
     for path, occ in ref_surface(f, ChoOr):
-        out.extend(replace_at(f, path, op) for op in occ.operands)
+        out.extend(ref_replace_at(f, path, op) for op in occ.operands)
     for path, occ in ref_surface(f, ChoEx):
         for t in _oracle_term_choices(f):
-            out.append(replace_at(f, path, substitute_var(occ.body, occ.var, t)))
+            out.append(ref_replace_at(f, path, ref_substitute(occ.body, occ.var, t)))
     if logic is Logic.CL4:
         gens = ref_surface_general_atoms(f)
         for (pp, pa), (np_, na) in itertools.product(gens, gens):
             if pa.negated or not na.negated or pa.letter != na.letter:
                 continue
             fresh = _oracle_fresh_letter(f, pa.letter.arity)
-            g = replace_at(f, pp, Atom(fresh, pa.args))
-            g = replace_at(g, np_, Atom(fresh, na.args, negated=True))
+            g = ref_replace_at(f, pp, Atom(fresh, pa.args))
+            g = ref_replace_at(g, np_, Atom(fresh, na.args, negated=True))
             out.append(g)
     return out
 
@@ -402,10 +443,10 @@ def ref_wait_premises(f: Formula) -> list[Formula]:
     for path, node in ref_surface(f, (ChoAnd, ChoAll)):
         if isinstance(node, ChoAnd):
             for op in node.operands:
-                add(replace_at(f, path, op))
+                add(ref_replace_at(f, path, op))
         else:
             w = Variable(fresh_wait_variable(f))
-            add(replace_at(f, path, substitute_var(node.body, node.var, w)))
+            add(ref_replace_at(f, path, ref_substitute(node.body, node.var, w)))
     return prems
 
 

@@ -30,7 +30,7 @@ from clprover.formula import (
 )
 from clprover.prover import (
     ChooseTerm, MatchPair, MoveError, ProverConfig, _Search, _SurfaceIndex,
-    _forced, _resolve_surface, apply_move, canonical_matches,
+    _forced, _surface_spine, apply_move, canonical_matches,
     enumerate_moves, measure, wait_premises,
 )
 
@@ -95,7 +95,7 @@ def assert_endgame_matches(f):
     for move in moves:
         g = apply_move(g, move)
     assert g == final
-    return [_resolve_surface(f, m.pos_path).letter.name for m in moves]
+    return [_surface_spine(f, m.pos_path)[-1].letter.name for m in moves]
 
 
 @settings(max_examples=150, deadline=None)
@@ -329,13 +329,13 @@ def test_derived_facts_equal_a_fresh_walk():
                 continue
             derived = assert_derived_facts(g, valid and pooled)
             if isinstance(move, ChooseTerm):
-                q = _resolve_surface(f, move.path)
+                q = _surface_spine(f, move.path)[-1]
                 occurs = q.var in free_variables(q.body)
                 seen["chosen"] += derived
                 seen["chosen unused"] += derived and not occurs
                 seen["odd term used"] += occurs and move.term == Variable("X1")
             elif isinstance(move, MatchPair):
-                total = _general_count(f, _resolve_surface(f, move.pos_path).letter.name)
+                total = _general_count(f, _surface_spine(f, move.pos_path)[-1].letter.name)
                 seen["matched"] += derived
                 seen["match kept occurrences"] += total > 2
                 assert derived == (valid and total == 2)

@@ -18,8 +18,8 @@ from clprover.prover import (
     ChooseDisjunct, ChooseTerm, GoalError, Logic, MatchPair, ProofFormatError,
     ProofNode, ProverConfig, TermPool, WAIT, _SurfaceIndex, _forced,
     apply_move, check_proof, enumerate_moves, json_text, measure,
-    proof_from_json, proof_to_dict, proof_to_json, prove, prove_with_stats,
-    term_pool, wait_premises,
+    proof_from_dict, proof_from_json, proof_to_dict, proof_to_json, prove,
+    prove_with_stats, term_pool, wait_premises,
 )
 from clprover.qbf import (
     eval_qbf, parse_qbf, random_corpus, strategy_to_dict, strategy_to_json,
@@ -543,6 +543,16 @@ def test_reading_by_derivation_agrees_with_parsing_every_conclusion():
         edits = (_EDITS[i % len(_EDITS)], _EDITS[(i + 3) % len(_EDITS)])
         for doc in _mutants(json.loads(text), edits, rng):
             assert _read(proof_from_json, doc) == _read(ref_proof_from_json, doc)
+
+
+@pytest.mark.parametrize("depth", [600, 900])
+def test_deep_proof_reads_back(depth):
+    # reading a proof dict takes no frame per level; ProofNode equality
+    # still recurses, so the two proofs are compared through their JSON
+    text = "q \\/ " + "(p cor " * depth + "~q" + ")" * depth
+    proof = prove(parse_formula(text))
+    back = proof_from_dict(proof_to_dict(proof))
+    assert proof_to_json(back) == proof_to_json(proof)
 
 
 def test_reading_a_bridge_proof_parses_only_the_root(monkeypatch):
