@@ -10,8 +10,8 @@ from .formula import (
 from .elementary import is_stable
 from .prover import (
     CheckResult, ChooseDisjunct, ChooseTerm, Logic, MatchPair, Move,
-    MoveError, ProofNode, ProverConfig, ProverError, SearchStats, TermPool,
-    WAIT, Wait, apply_move, check_proof, enumerate_moves, measure,
+    MoveError, ProofNode, ProverConfig, ProverError, SearchStats, WAIT,
+    Wait, apply_move, check_proof, enumerate_moves, measure,
     proof_from_json, proof_to_json, prove, prove_with_stats, wait_premises,
 )
 from .qbf import (

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .bridge import BridgeError, proof_to_strategy, strategy_to_proof
 from .formula import FormulaError, parse_formula, render_formula
 from .prover import (
-    Logic, ProverConfig, ProverError, TermPool, check_proof, measure,
+    Logic, ProverConfig, ProverError, check_proof, measure,
     json_text, proof_from_json, proof_to_dict, proof_to_json,
     prove_with_stats,
 )
@@ -53,10 +53,7 @@ def _write_out(path, text):
 
 
 def _config(args) -> ProverConfig:
-    return ProverConfig(
-        logic=Logic(args.logic),
-        term_pool=TermPool(args.term_pool),
-    )
+    return ProverConfig(logic=Logic(args.logic))
 
 
 def _detect_format(text: str) -> str:
@@ -65,10 +62,21 @@ def _detect_format(text: str) -> str:
 
 
 def _parse_qbf_arg(args) -> Qbf:
-    text = _read_text(args.qbf, getattr(args, "infile", None), "sentence")
+    text = _read_text(args.qbf, args.infile, "sentence")
     fmt = _detect_format(text) if args.format == "auto" else args.format
-    return parse_qbf(text, fmt=fmt,
-                     repair=True if getattr(args, "repair", False) else None)
+    return parse_qbf(text, fmt=fmt, repair=args.repair or None)
+
+
+def _report(res, args, ok_text: str) -> int:
+    """Print a check's result, as JSON or as text, and return its status."""
+    if args.json:
+        print(json_text({"ok": res.ok, "diagnostics": res.diagnostics}))
+    elif res.ok:
+        print(ok_text)
+    else:
+        for d in res.diagnostics:
+            print(d)
+    return 0 if res.ok else 1
 
 
 def cmd_prove(args) -> int:
@@ -102,15 +110,7 @@ def cmd_prove(args) -> int:
 def cmd_check(args) -> int:
     with open(args.proof, encoding="utf-8") as fp:
         proof = proof_from_json(fp.read())
-    res = check_proof(proof, ProverConfig(logic=Logic(args.logic)))
-    if args.json:
-        print(json_text({"ok": res.ok, "diagnostics": res.diagnostics}))
-    elif res.ok:
-        print("proof is valid")
-    else:
-        for d in res.diagnostics:
-            print(d)
-    return 0 if res.ok else 1
+    return _report(check_proof(proof, _config(args)), args, "proof is valid")
 
 
 def cmd_reduce(args) -> int:
@@ -135,9 +135,7 @@ def cmd_qbf_eval(args) -> int:
 
 
 def cmd_qbf_normalize(args) -> int:
-    text = _read_text(args.qbf, args.infile, "sentence")
-    fmt = _detect_format(text) if args.format == "auto" else args.format
-    q = parse_qbf(text, fmt=fmt, repair=True)
+    q = _parse_qbf_arg(args)
     out = render_qdimacs(q) if args.to == "qdimacs" else render_qbf(q)
     if args.out or not args.json:
         _write_out(args.out, out)
@@ -165,15 +163,7 @@ def cmd_strategy_check(args) -> int:
     q = _parse_qbf_arg(args)
     with open(args.strategy, encoding="utf-8") as fp:
         tree = strategy_from_json(fp.read())
-    res = check_strategy_tree(q, tree)
-    if args.json:
-        print(json_text({"ok": res.ok, "diagnostics": res.diagnostics}))
-    elif res.ok:
-        print("strategy tree is winning")
-    else:
-        for d in res.diagnostics:
-            print(d)
-    return 0 if res.ok else 1
+    return _report(check_strategy_tree(q, tree), args, "strategy tree is winning")
 
 
 def cmd_strategy_to_proof(args) -> int:
@@ -249,16 +239,14 @@ class BenchRow:
         return self.depth4 <= self.mu4 + 1 and self.depth3 <= self.mu3 + 1
 
 
-def bench_run(instances: list[tuple[str, Qbf]],
-              term_pool: TermPool = TermPool.OCCURRING_PLUS_FRESH) -> list[BenchRow]:
+def bench_run(instances: list[tuple[str, Qbf]]) -> list[BenchRow]:
     rows = []
     for name, q in instances:
         f4 = reduce_to_cl4(q)
         f3 = reduce_to_cl3(q)
         t0 = time.perf_counter()
-        p4, s4 = prove_with_stats(f4, ProverConfig(term_pool=term_pool))
-        p3, s3 = prove_with_stats(f3, ProverConfig(logic=Logic.CL3,
-                                                   term_pool=term_pool))
+        p4, s4 = prove_with_stats(f4)
+        p3, s3 = prove_with_stats(f3, ProverConfig(logic=Logic.CL3))
         millis = (time.perf_counter() - t0) * 1000
         rows.append(BenchRow(
             name=name, sentence=render_qbf(q), value=eval_qbf(q),
@@ -286,7 +274,7 @@ def cmd_bench(args) -> int:
     prefix_lengths = tuple(int(s) for s in args.prefix_lens.split(",") if s)
     instances = bench_instances(args.exhaustive, args.random, args.seed,
                                 prefix_lengths, args.max_clauses)
-    rows = bench_run(instances, TermPool(args.term_pool))
+    rows = bench_run(instances)
     all_agree = all(r.agree for r in rows)
     all_depth = all(r.depth_ok for r in rows)
     if args.json:
@@ -331,7 +319,10 @@ def cmd_play(args) -> int:
             print(f"engine sets {var} = {node.label}")
         else:
             while True:
-                raw = input(f"your bit for {var} (0/1): ").strip()
+                try:
+                    raw = input(f"your bit for {var} (0/1): ").strip()
+                except EOFError:
+                    raise ValueError(f"input ended before a bit for {var}") from None
                 if raw in ("0", "1"):
                     break
                 print("please answer 0 or 1")
@@ -376,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="search for a proof")
     _add_formula_source(p)
     _add_logic_flag(p)
-    p.add_argument("--term-pool", choices=[t.value for t in TermPool],
-                   default=TermPool.OCCURRING_PLUS_FRESH.value)
     p.add_argument("--proof-out", dest="out", help="write the proof JSON here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_prove)
@@ -409,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--to", choices=["textual", "qdimacs"], default="textual")
     pn.add_argument("--out")
     pn.add_argument("--json", action="store_true")
-    pn.set_defaults(fn=cmd_qbf_normalize)
+    # normalize always repairs, so it takes no --repair flag
+    pn.set_defaults(fn=cmd_qbf_normalize, repair=True)
 
     p = sub.add_parser("strategy", help="strategy tree operations")
     ssub = p.add_subparsers(dest="strategy_command", required=True)
@@ -447,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix-lens", default="1,3", help="comma separated")
     p.add_argument("--max-clauses", type=int, default=3)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--term-pool", choices=[t.value for t in TermPool],
-                   default=TermPool.OCCURRING_PLUS_FRESH.value)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bench)
 

@@ -56,12 +56,6 @@ class Logic(str, Enum):
     CL3 = "cl3"
 
 
-class TermPool(str, Enum):
-    OCCURRING = "occurring"
-    OCCURRING_PLUS_FRESH = "occurring-plus-fresh"
-    OCCURRING_PLUS_TWO_FRESH = "occurring-plus-two-fresh"
-
-
 @dataclass(frozen=True, slots=True)
 class Wait:
     pass
@@ -102,7 +96,6 @@ class ProofNode:
 @dataclass(frozen=True)
 class ProverConfig:
     logic: Logic = Logic.CL4
-    term_pool: TermPool = TermPool.OCCURRING_PLUS_FRESH
 
 
 @dataclass
@@ -309,18 +302,16 @@ def apply_move(f: Formula, move: Move) -> Formula:
     raise MoveError(f"not a move: {move!r}")
 
 
-def term_pool(f: Formula, pool: TermPool) -> list[Term]:
+def term_pool(f: Formula) -> list[Term]:
     """Candidate terms for choose-term: occurring constants in ascending
-    order, then free variables, then the configured fresh constants."""
-    consts = sorted(constants(f))
-    out: list[Term] = [Constant(c) for c in consts]
+    order, then free variables, then the least natural that does not occur.
+    One fresh constant is enough: putting any term in place of a fresh
+    constant maps a proof to a proof, so a second one never proves more."""
+    consts = constants(f)
+    out: list[Term] = [Constant(c) for c in sorted(consts)]
     out.extend(Variable(v) for v in sorted(free_variables(f), key=_var_key))
-    extra = {TermPool.OCCURRING_PLUS_FRESH: 1,
-             TermPool.OCCURRING_PLUS_TWO_FRESH: 2}.get(pool, 0)
-    # the first extra naturals that do not occur, all below len(consts) + extra
-    have = set(consts)
-    fresh = [c for c in range(len(consts) + extra) if c not in have][:extra]
-    return out + [Constant(c) for c in fresh]
+    fresh = next(c for c in range(len(consts) + 1) if c not in consts)
+    return out + [Constant(fresh)]
 
 
 def _var_key(name: str) -> tuple[str, int, str]:
@@ -332,8 +323,10 @@ def _var_key(name: str) -> tuple[str, int, str]:
 def enumerate_moves(f: Formula, config: ProverConfig,
                     index: Optional[_SurfaceIndex] = None) -> list[Move]:
     """All applicable moves in the search order: choose-disjunct by
-    occurrence then index, choose-term by occurrence then pool order, then
-    (cl4 only) match by letter first-occurrence order and occurrence pairs."""
+    occurrence then index, choose-term by occurrence then term_pool order,
+    then (cl4 only) match by letter first-occurrence order and occurrence
+    pairs.  Nothing is pruned: the fresh constant of term_pool is listed
+    even where _tries skips it."""
     index = index or _SurfaceIndex(f)
     moves: list[Move] = []
     for path, node in index.choices:
@@ -341,7 +334,7 @@ def enumerate_moves(f: Formula, config: ProverConfig,
             moves.extend(ChooseDisjunct(path, i) for i in range(len(node.operands)))
     exs = [path for path, node in index.choices if isinstance(node, ChoEx)]
     if exs:
-        pool = term_pool(f, config.term_pool)
+        pool = term_pool(f)
         for path in exs:
             moves.extend(ChooseTerm(path, t) for t in pool)
     if config.logic is Logic.CL4 and index.letters:
@@ -448,12 +441,12 @@ class _Search:
     def _tries(self, f: Formula, index: _SurfaceIndex):
         """Each rule the search tries on f, in order, with its premises: wait
         when f is stable, then each move of enumerate_moves, its result built
-        when reached, less the choose-term moves on dominated fresh
-        constants.  Substituting a term t for a fresh constant c maps a
-        proof of A(c) to a proof of A(t), and every occurring term precedes
-        c in the pool, so a first-success search never picks c when a term
-        occurs.  When none does, the first fresh constant, 0, dominates the
-        others the same way.  Verdicts and proofs therefore do not change."""
+        when reached, less the choose-term moves on the fresh constant when
+        it is dominated.  Substituting a term t for a fresh constant c maps
+        a proof of A(c) to a proof of A(t), and every occurring term
+        precedes c in the pool, so a first-success search never picks c
+        when a term occurs.  When none does, c is 0 and is kept.  Verdicts
+        and proofs therefore do not change."""
         self.stats.stable_checks += 1
         if is_stable(f):
             yield WAIT, wait_premises(f, index)

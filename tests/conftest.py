@@ -27,7 +27,7 @@ from clprover.formula import (
 from clprover.prover import (
     _RULE_KEYS, WAIT, ChooseDisjunct, ChooseTerm, Logic, MatchPair,
     ProofFormatError, ProofNode, ProverConfig, apply_move, check_proof,
-    enumerate_moves, fresh_wait_variable, prove, _fresh_letter,
+    enumerate_moves, fresh_wait_variable, prove, term_pool, _fresh_letter,
     _path_from_json, _term_from_json, wait_premises,
 )
 from clprover.qbf import (
@@ -250,12 +250,33 @@ def naive_provable(f: Formula, logic: Logic = Logic.CL4) -> bool:
     return any(naive_provable(g, logic) for g in _oracle_moves(f, logic))
 
 
-def ref_provable(f: Formula, config: ProverConfig) -> bool:
+def ref_moves(f: Formula, logic: Logic, fresh: int) -> list:
+    """The unpruned moves of enumerate_moves with a pool of `fresh` fresh
+    constants, 1 or 2.  With 2, each choose-term move on the pool's fresh
+    constant is followed by one on the next natural that does not occur,
+    where a pool of two fresh constants lists it."""
+    assert fresh in (1, 2)
+    moves = enumerate_moves(f, ProverConfig(logic=logic))
+    if fresh == 1:
+        return moves
+    pool = term_pool(f)
+    first = pool[-1]
+    taken = {t.value for t in pool if isinstance(t, Constant)}
+    second = Constant(next(c for c in itertools.count() if c not in taken))
+    out = []
+    for m in moves:
+        out.append(m)
+        if isinstance(m, ChooseTerm) and m.term == first:
+            out.append(ChooseTerm(m.path, second))
+    return out
+
+
+def ref_provable(f: Formula, logic: Logic, fresh: int) -> bool:
     """Provability by every rule of the package, with no shortcut and no
     pruning: f is provable when it is stable and all its wait premises are,
-    or when the result of any move of enumerate_moves is.  Each state's
-    verdict is memoized by its text, which keeps whole reduction images
-    within reach; naive_provable, which has no memo, does not finish them."""
+    or when the result of any move of ref_moves is.  Each state's verdict
+    is memoized by its text, which keeps whole reduction images within
+    reach; naive_provable, which has no memo, does not finish them."""
     memo: dict[str, bool] = {}
 
     def provable(g: Formula) -> bool:
@@ -263,27 +284,26 @@ def ref_provable(f: Formula, config: ProverConfig) -> bool:
         verdict = memo.get(key)
         if verdict is None:
             verdict = (is_stable(g) and all(provable(p) for p in wait_premises(g))) \
-                or any(provable(apply_move(g, m)) for m in enumerate_moves(g, config))
+                or any(provable(apply_move(g, m)) for m in ref_moves(g, logic, fresh))
             memo[key] = verdict
         return verdict
 
     return provable(f)
 
 
-def ref_first_success_proof(f: Formula, config: ProverConfig):
+def ref_first_success_proof(f: Formula, logic: Logic, fresh: int):
     """The proof a first-success depth-first search finds: wait when f is
     stable and every wait premise is provable, or else the first move of the
-    unpruned enumerate_moves order whose result is provable.  Verdicts come
-    from naive_provable; there is no memo and no shortcut.  None when f is
-    not provable."""
-    logic = config.logic
+    ref_moves order whose result is provable.  Verdicts come from
+    naive_provable; there is no memo and no shortcut.  None when f is not
+    provable."""
 
     def build(g: Formula) -> ProofNode:
         if oracle_stable(g):
             prems = wait_premises(g)
             if all(naive_provable(p, logic) for p in prems):
                 return ProofNode(g, WAIT, tuple(build(p) for p in prems))
-        for m in enumerate_moves(g, config):
+        for m in ref_moves(g, logic, fresh):
             h = apply_move(g, m)
             if naive_provable(h, logic):
                 return ProofNode(g, m, (build(h),))

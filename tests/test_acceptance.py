@@ -26,7 +26,7 @@ from clprover.formula import (
 )
 from clprover.prover import (
     ChooseDisjunct, ChooseTerm, Logic, MatchPair, ProofNode, ProverConfig,
-    TermPool, WAIT, Wait, check_proof, prove,
+    WAIT, Wait, check_proof, prove,
 )
 from clprover.qbf import (
     check_strategy_tree, eval_qbf, exhaustive_unary_corpus, parse_qbf,
@@ -312,13 +312,10 @@ def test_criterion_10_verdicts_stable_under_a_larger_term_pool(corpus1, bench1):
     # the verdicts of the search, with its shortcuts and its pruning of
     # fresh constants, against a reference search that has neither and
     # tries an extra fresh constant
-    wide = ProverConfig(term_pool=TermPool.OCCURRING_PLUS_TWO_FRESH)
-    wide3 = ProverConfig(logic=Logic.CL3,
-                         term_pool=TermPool.OCCURRING_PLUS_TWO_FRESH)
     bad = 0
     for q, row in zip(corpus1, bench1[0]):
-        p4 = ref_provable(reduce_to_cl4(q), wide)
-        p3 = ref_provable(reduce_to_cl3(q), wide3)
+        p4 = ref_provable(reduce_to_cl4(q), Logic.CL4, 2)
+        p3 = ref_provable(reduce_to_cl3(q), Logic.CL3, 2)
         bad += (p4, p3) != (row.cl4, row.cl3)
     report(10, len(corpus1) == 165 and bad == 0,
            f"{len(corpus1)} instances, verdicts equal to an unpruned search "

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line front end via main(argv)."""
 
 import copy
+import io
 import json
 import os
 import random
@@ -143,6 +144,23 @@ def test_check_rejects_search_flags(capsys, tmp_path, argv):
         main([argv[0], *source, *argv[1:]])
     assert info.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("prove", "--formula", "cex x: T"),
+    ("bench", "--exhaustive", "0", "--random", "0"),
+], ids=["prove", "bench"])
+def test_the_term_pool_flag_is_gone(capsys, argv):
+    # the candidate terms are fixed, and they include the fresh constant
+    # that proves cex x: T, the image of the true sentence `exists x :`
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--term-pool", "occurring"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --term-pool occurring" in capsys.readouterr().err
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("provable in cl4") if argv[0] == "prove" \
+        else "verdicts all agree" in out
 
 
 @pytest.mark.parametrize("rule", [["wait"], {"name": "wait"}],
@@ -366,6 +384,13 @@ def test_play_false_sentence(capsys):
     code, out, _ = run(capsys, "play", "--qbf", FALSE_Q)
     assert code == 1
     assert "no winning strategy" in out
+
+
+def test_play_exits_two_when_stdin_closes(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    code, _, err = run(capsys, "play", "--qbf", TRIPLE_Q)
+    assert code == 2
+    assert err == "error: input ended before a bit for y\n"
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from clprover.formula import (
 )
 from clprover.prover import (
     ChooseDisjunct, ChooseTerm, GoalError, Logic, MatchPair, ProofFormatError,
-    ProofNode, ProverConfig, TermPool, WAIT, _SurfaceIndex, _forced,
+    ProofNode, ProverConfig, WAIT, _SurfaceIndex, _forced,
     apply_move, check_proof, enumerate_moves, json_text, measure,
     proof_from_dict, proof_from_json, proof_to_dict, proof_to_json, prove,
     prove_with_stats, term_pool, wait_premises,
@@ -77,25 +77,37 @@ def test_enumerate_single_match_pair():
 
 
 def test_enumerate_terms_from_the_pool():
+    # one fresh constant, the least natural that does not occur, and it is
+    # listed even where a term occurs and the search skips it
     f = parse_formula("cex x: p(x)")
     assert enumerate_moves(f, ProverConfig()) == [ChooseTerm((), Constant(0))]
-    assert enumerate_moves(f, ProverConfig(term_pool=TermPool.OCCURRING)) == []
-    two = enumerate_moves(f, ProverConfig(term_pool=TermPool.OCCURRING_PLUS_TWO_FRESH))
-    assert two == [ChooseTerm((), Constant(0)), ChooseTerm((), Constant(1))]
+    g = parse_formula("(cex x: p(x)) \\/ ~p(0) \\/ ~p(2)")
+    assert enumerate_moves(g, CL3) == [ChooseTerm((0,), Constant(c))
+                                       for c in (0, 2, 1)]
 
 
 def test_term_pool_order_constants_then_variables_then_fresh():
     f = parse_formula("cex x: s(x, 2) \\/ p(y)")
-    assert term_pool(f, TermPool.OCCURRING_PLUS_FRESH) == \
-        [Constant(2), Variable("y"), Constant(0)]
+    assert term_pool(f) == [Constant(2), Variable("y"), Constant(0)]
 
 
 def test_term_pool_orders_variables_by_number_then_name():
     # x01 and x1 share a number; the name breaks the tie, so the order does
     # not follow set iteration
     f = parse_formula("cex z: q(z) \\/ ~q(x10) \\/ ~q(x1) \\/ ~q(x2) \\/ ~q(x01)")
-    assert term_pool(f, TermPool.OCCURRING) == \
-        [Variable("x01"), Variable("x1"), Variable("x2"), Variable("x10")]
+    assert term_pool(f) == [Variable("x01"), Variable("x1"), Variable("x2"),
+                            Variable("x10"), Constant(0)]
+
+
+@pytest.mark.parametrize("logic", [Logic.CL4, Logic.CL3], ids=lambda l: l.value)
+@pytest.mark.parametrize("text", ["cex x: T", "cex x: (p(x) \\/ ~p(x))"])
+def test_a_closed_choice_ex_needs_the_fresh_constant(text, logic):
+    # no term occurs, so the fresh constant is the only candidate, and
+    # each goal is provable only through it
+    f = parse_formula(text)
+    proof = prove(f, ProverConfig(logic=logic))
+    assert proof is not None and check_proof(proof, ProverConfig(logic=logic))
+    assert proof.rule == ChooseTerm((), Constant(0))
 
 
 def test_enumerate_skips_match_without_both_polarities():
@@ -165,14 +177,14 @@ def test_prove_agrees_with_the_naive_search_cl3(seed):
     assert (prove(f, CL3) is not None) == naive_provable(f, Logic.CL3)
 
 
-# The search skips choose-term moves on dominated fresh constants; these
-# tests hold it to the proof of the unpruned first-success search.
+# The search skips choose-term moves on a dominated fresh constant; these
+# tests hold it to the proof of the unpruned first-success search, whose
+# pool has one fresh constant, as the search's does, or two.
 
-CUT_CONFIGS = [ProverConfig(logic=logic, term_pool=pool)
-               for logic in (Logic.CL4, Logic.CL3)
-               for pool in (TermPool.OCCURRING_PLUS_FRESH,
-                            TermPool.OCCURRING_PLUS_TWO_FRESH)]
-CUT_IDS = [f"{c.logic.value}-{c.term_pool.value}" for c in CUT_CONFIGS]
+CUT_CONFIGS = [(logic, fresh) for logic in (Logic.CL4, Logic.CL3)
+               for fresh in (1, 2)]
+CUT_IDS = [f"{logic.value}-occurring-plus-{'fresh' if fresh == 1 else 'two-fresh'}"
+           for logic, fresh in CUT_CONFIGS]
 
 
 def cut_goal(seed, logic):
@@ -184,36 +196,38 @@ def cut_goal(seed, logic):
     return f, closed
 
 
-def pruned_terms_of_first_success(f, config):
-    proof, stats = prove_with_stats(f, config)
-    assert proof == ref_first_success_proof(f, config)
+def pruned_terms_of_first_success(f, logic, fresh):
+    proof, stats = prove_with_stats(f, ProverConfig(logic=logic))
+    assert proof == ref_first_success_proof(f, logic, fresh)
     return stats.pruned_terms
 
 
-@pytest.mark.parametrize("config", CUT_CONFIGS, ids=CUT_IDS)
+@pytest.mark.parametrize("logic, fresh", CUT_CONFIGS, ids=CUT_IDS)
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 10**9))
-def test_pruned_search_finds_the_first_success_proof(config, seed):
-    pruned_terms_of_first_success(cut_goal(seed, config.logic)[0], config)
+def test_pruned_search_finds_the_first_success_proof(logic, fresh, seed):
+    pruned_terms_of_first_success(cut_goal(seed, logic)[0], logic, fresh)
 
 
-@pytest.mark.parametrize("config", CUT_CONFIGS, ids=CUT_IDS)
+@pytest.mark.parametrize("logic, fresh", CUT_CONFIGS, ids=CUT_IDS)
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 10**9))
-def test_search_depth_within_measure(config, seed):
+def test_search_depth_within_measure(logic, fresh, seed):
     # every rule lowers the measure, so no branch of either pass, on a
-    # provable goal or not, is longer than the measure plus one
-    f = cut_goal(seed, config.logic)[0]
-    assert prove_with_stats(f, config)[1].max_depth <= measure(f) + 1
+    # provable goal or not, is longer than the measure plus one.  The
+    # search has one pool, so fresh only names the run: each draws goals
+    # of its own
+    f = cut_goal(seed, logic)[0]
+    assert prove_with_stats(f, ProverConfig(logic=logic))[1].max_depth <= measure(f) + 1
 
 
-@pytest.mark.parametrize("config", CUT_CONFIGS, ids=CUT_IDS)
-def test_first_success_proofs_on_goals_that_prune(config):
+@pytest.mark.parametrize("logic, fresh", CUT_CONFIGS, ids=CUT_IDS)
+def test_first_success_proofs_on_goals_that_prune(logic, fresh):
     # fixed seeds, so the share of goals that exercise the cut is fixed too
     pruned = closed_pruned = 0
     for seed in range(300):
-        f, closed = cut_goal(seed, config.logic)
-        hit = pruned_terms_of_first_success(f, config) > 0
+        f, closed = cut_goal(seed, logic)
+        hit = pruned_terms_of_first_success(f, logic, fresh) > 0
         pruned += hit
         closed_pruned += hit and closed
     assert pruned >= 40 and closed_pruned >= 5
