@@ -3,7 +3,7 @@ fragment, with a polynomial reduction from prenex 3-CNF sentences."""
 
 from .formula import (
     Atom, BOT, Bot, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, Formula,
-    FormulaError, LetterId, ParAnd, ParOr, ParseError, Path, PathError,
+    FormulaError, LetterId, ParAnd, ParOr, ParseError, Path,
     SubstitutionError, TOP, Term, Top, Variable, parse_formula,
     render_formula, substitute_var, validate_formula,
 )

@@ -9,7 +9,6 @@ negative one, 2 and up an error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import dataclass
@@ -128,7 +127,7 @@ def cmd_qbf_eval(args) -> int:
     q = _parse_qbf_arg(args)
     value = eval_qbf(q)
     if args.json:
-        print(json.dumps({"value": value}))
+        print(json_text({"value": value}))
     else:
         print("TRUE" if value else "FALSE")
     return 0 if value else 1
@@ -140,7 +139,7 @@ def cmd_qbf_normalize(args) -> int:
     if args.out or not args.json:
         _write_out(args.out, out)
     if args.json:
-        print(json.dumps({"qbf": out}, ensure_ascii=False))
+        print(json_text({"qbf": out}))
     return 0
 
 

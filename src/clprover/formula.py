@@ -23,10 +23,6 @@ class ParseError(FormulaError):
     """Syntax error; message carries a character position."""
 
 
-class PathError(FormulaError):
-    """A path does not address a node of the required kind."""
-
-
 class SubstitutionError(FormulaError):
     """Substitution would touch or capture a bound variable."""
 
@@ -85,11 +81,12 @@ class Formula:
     """Base class; all nodes are immutable and compare structurally.
 
     Equality and hashing walk the tree without recursion, so formulas of any
-    depth compare.  The one extra slot holds the node's Facts once a query
-    has asked for them; it takes no part in equality or hashing.
+    depth compare.  Two extra slots take no part in equality or hashing:
+    _facts holds the node's Facts once a query or a rule has given them,
+    and _valid is set once the node is known to pass validate_formula.
     """
 
-    __slots__ = ("_facts",)
+    __slots__ = ("_facts", "_valid")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Formula):
@@ -213,18 +210,6 @@ def subformulas(f: Formula) -> Iterator[tuple[Path, Formula]]:
             stack.append((path + (i,), kids[i]))
 
 
-def replace_at(f: Formula, path: Path, sub: Formula) -> Formula:
-    """f with sub at path: one loop walks down the path, and rebuild_spine
-    builds anew only the nodes on it."""
-    nodes = [f]
-    for i in path:
-        kids = children(nodes[-1])
-        if not 0 <= i < len(kids):
-            raise PathError(f"path {list(path)} does not address a subformula")
-        nodes.append(kids[i])
-    return rebuild_spine(nodes, path, sub, len(path))
-
-
 def rebuild_spine(nodes: list[Formula], path: Path, sub: Formula, depth: int,
                   top: int = 0) -> Formula:
     """nodes[top] rebuilt with sub in place of nodes[depth], where each
@@ -252,12 +237,12 @@ class Facts:
     message for the first arity clash, or None.  bound, free and consts are
     the bound variables, free variables and constants, as tuples without
     repeats.  choices counts choice operators and generals general-atom
-    occurrences.  valid records that the node is known to pass
-    validate_formula.  Nodes are immutable, so a summary never goes stale.
+    occurrences.  Every field is filled; validity is a flag of the node's
+    own.  Nodes are immutable, so a summary never goes stale.
     """
 
     __slots__ = ("letters", "counts", "clash", "bound", "free", "consts",
-                 "choices", "generals", "valid")
+                 "choices", "generals")
 
     def __init__(self, f: Formula):
         letters: dict[tuple[str, str], LetterId] = {}
@@ -304,13 +289,12 @@ class Facts:
         self.consts = tuple(consts)
         self.choices = choices
         self.generals = generals
-        self.valid = False
 
     def _copy(self) -> Facts:
         s = Facts.__new__(Facts)
         s.letters, s.counts, s.clash = self.letters, self.counts, self.clash
         s.bound, s.free, s.consts = self.bound, self.free, self.consts
-        s.choices, s.generals, s.valid = self.choices, self.generals, self.valid
+        s.choices, s.generals = self.choices, self.generals
         return s
 
     def chosen(self, var: str, term: Term, occurs: bool) -> Facts:
@@ -318,8 +302,7 @@ class Facts:
         on term; occurs tells whether var occurred in the body.  Binders are
         unique in a valid formula, so var goes from bound and the term joins
         free or consts only where it replaced var.  The caller has checked
-        that the term is a natural or a variable not bound in the formula;
-        the result is valid unless a variable term is no variable name."""
+        that the term is a natural or a variable not bound in the formula."""
         s = self._copy()
         s.bound = tuple(v for v in self.bound if v != var)
         if occurs:
@@ -329,7 +312,6 @@ class Facts:
             elif term.name not in self.free:
                 s.free = self.free + (term.name,)
         s.choices -= 1
-        s.valid = self.valid and (isinstance(term, Constant) or is_variable_name(term.name))
         return s
 
     def matched(self, letter: LetterId, fresh: LetterId) -> Optional[Facts]:
@@ -348,29 +330,23 @@ class Facts:
         return None
 
 
-# the summary a rule leaves on a node it derived from a valid formula when it
-# derives no fields: only valid is set, and facts() walks the node on first use
-VALID_MARK = Facts.__new__(Facts)
-VALID_MARK.valid = True
-
-
 def facts(f: Formula) -> Facts:
     try:
-        s = f._facts
+        return f._facts
     except AttributeError:
-        s = None
-    if s is None or s is VALID_MARK:
-        walked = Facts(f)
-        walked.valid = s is not None
-        object.__setattr__(f, "_facts", walked)
-        return walked
-    return s
+        s = Facts(f)
+        object.__setattr__(f, "_facts", s)
+        return s
 
 
 def known_facts(f: Formula) -> Optional[Facts]:
-    """The summary f carries without a walk: a walked or derived Facts, the
-    bare mark of a node known valid (only its valid field is set), or None."""
+    """The summary f carries without a walk, walked or derived, or None."""
     return getattr(f, "_facts", None)
+
+
+def known_valid(f: Formula) -> bool:
+    """Whether f is known to pass validate_formula, by a check or a rule."""
+    return getattr(f, "_valid", False)
 
 
 def carry_facts(f: Formula, s: Facts) -> None:
@@ -383,9 +359,8 @@ def carry_facts(f: Formula, s: Facts) -> None:
 def carry_validity(parent: Formula, f: Formula) -> None:
     """Mark f, which a rule derived from parent, valid when parent is known
     to be valid."""
-    known = known_facts(parent)
-    if known is not None and known.valid:
-        carry_facts(f, VALID_MARK)
+    if known_valid(parent):
+        object.__setattr__(f, "_valid", True)
 
 
 def free_variables(f: Formula) -> set[str]:
@@ -479,8 +454,7 @@ def validate_formula(f: Formula) -> None:
     least two operands.  No variable is bound twice or both free and bound.
     A node that passed once is not walked again.
     """
-    known = getattr(f, "_facts", None)
-    if known is not None and known.valid:
+    if known_valid(f):
         return
     binders: set[str] = set()
     stack = [f]
@@ -525,7 +499,7 @@ def validate_formula(f: Formula) -> None:
     clash = set(s.free).intersection(s.bound)
     if clash:
         raise FormulaError(f"variable {sorted(clash)[0]} is both free and bound")
-    s.valid = True
+    object.__setattr__(f, "_valid", True)
 
 
 # ---------------------------------------------------------------------------

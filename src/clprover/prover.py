@@ -18,7 +18,6 @@ is handed to every rule that reads the surface.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,10 +27,10 @@ from .elementary import is_stable, is_stable_matched
 from .formula import (
     Atom, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, Formula, FormulaError,
     GENERAL, ELEMENTARY, LetterId, ParAnd, ParOr, Path, Term, Variable,
-    VALID_MARK, bound_variables, carry_facts, carry_validity, constants,
-    facts, free_variables, has_general, is_letter_name, is_variable_name,
-    known_facts, letter_names, parse_formula, rebuild_spine, render_formula,
-    replace_at, substitute_var, validate_formula,
+    bound_variables, carry_facts, carry_validity, constants, facts,
+    free_variables, has_general, is_letter_name, is_variable_name,
+    known_facts, known_valid, letter_names, parse_formula, rebuild_spine,
+    render_formula, substitute_var, validate_formula,
 )
 
 
@@ -176,21 +175,24 @@ def wait_premises(f: Formula, index: Optional[_SurfaceIndex] = None
                   ) -> list[Formula]:
     """Premises the wait rule requires for f, deduplicated, in pre-order of
     the surface choice occurrences they resolve.  Surface choice occurrences
-    never nest, so only equal operands of one cand give equal premises."""
+    never nest, so only equal operands of one cand give equal premises.
+    Each premise rebuilds only its occurrence's path, read once, and is
+    marked valid when f is known to be; its Facts wait for a query."""
     prems: list[Formula] = []
     for path, node in (index or _SurfaceIndex(f)).choices:
         if isinstance(node, ChoAnd):
-            seen: set[str] = set()
+            firsts: dict[str, Formula] = {}  # operand text -> first operand
             for op in node.operands:
-                key = render_formula(op)
-                if key not in seen:
-                    seen.add(key)
-                    prems.append(replace_at(f, path, op))
+                firsts.setdefault(render_formula(op), op)
+            subs = firsts.values()
         elif isinstance(node, ChoAll):
             w = Variable(fresh_wait_variable(f))
-            prems.append(replace_at(f, path, substitute_var(node.body, node.var, w)))
+            subs = [substitute_var(node.body, node.var, w)]
+        else:
+            continue
+        nodes = _surface_spine(f, path)
+        prems.extend(rebuild_spine(nodes, path, sub, len(path)) for sub in subs)
     for p in prems:
-        # its own facts wait for a query, which a memo hit never makes
         carry_validity(f, p)
     return prems
 
@@ -218,9 +220,10 @@ def apply_move(f: Formula, move: Move) -> Formula:
 
     Only the nodes on the path the move changes are built anew; the result
     shares every other subtree with f.  When f is known to be valid, the
-    result is marked valid too, and a choose-term or a match on a letter's
-    only two occurrences hands it the Facts derived from those of f instead
-    of leaving them to a walk."""
+    result is marked valid too, unless a choose-term put in a term that is
+    no variable name; and a choose-term on a walked f, or a match on a
+    letter's only two occurrences, hands it the Facts derived from those of
+    f instead of leaving them to a walk."""
     if isinstance(move, ChooseDisjunct):
         nodes = _surface_spine(f, move.path)
         node = nodes[-1]
@@ -248,12 +251,11 @@ def apply_move(f: Formula, move: Move) -> Formula:
             raise MoveError(f"bad term {t!r}")
         body = substitute_var(node.body, node.var, t)
         g = rebuild_spine(nodes, move.path, body, len(move.path))
-        known = known_facts(f)
-        if known is not None and known.valid:
-            if known is not VALID_MARK:
-                carry_facts(g, known.chosen(node.var, t, body is not node.body))
-            elif isinstance(t, Constant):  # a variable term had f walked above
-                carry_validity(f, g)
+        known = known_facts(f)  # a variable term had f walked above
+        if known is not None and known_valid(f):
+            carry_facts(g, known.chosen(node.var, t, body is not node.body))
+        if isinstance(t, Constant) or is_variable_name(t.name):
+            carry_validity(f, g)
         return g
 
     if isinstance(move, MatchPair):
@@ -292,11 +294,10 @@ def apply_move(f: Formula, move: Move) -> Formula:
         ops[np[k]] = rebuild_spine(neg_nodes, np, Atom(fresh, neg.args, True),
                                    len(np), k + 1)
         g = rebuild_spine(pos_nodes, pp, type(pos_nodes[k])(tuple(ops)), k)
-        derived = known.matched(pos.letter, fresh) if known.valid else None
+        derived = known.matched(pos.letter, fresh) if known_valid(f) else None
         if derived is not None:
             carry_facts(g, derived)
-        else:
-            carry_validity(f, g)
+        carry_validity(f, g)
         return g
 
     raise MoveError(f"not a move: {move!r}")
@@ -320,13 +321,14 @@ def _var_key(name: str) -> tuple[str, int, str]:
     return (name[0], int(name[1:]) if len(name) > 1 else -1, name)
 
 
-def enumerate_moves(f: Formula, config: ProverConfig,
-                    index: Optional[_SurfaceIndex] = None) -> list[Move]:
+def enumerate_moves(f: Formula, index: Optional[_SurfaceIndex] = None
+                    ) -> list[Move]:
     """All applicable moves in the search order: choose-disjunct by
     occurrence then index, choose-term by occurrence then term_pool order,
-    then (cl4 only) match by letter first-occurrence order and occurrence
-    pairs.  Nothing is pruned: the fresh constant of term_pool is listed
-    even where _tries skips it."""
+    then match by letter first-occurrence order and occurrence pairs.  A
+    cl3 goal has no general letter and no rule adds one, so no cl3 state
+    lists a match.  Nothing is pruned: the fresh constant of term_pool is
+    listed even where _tries skips it."""
     index = index or _SurfaceIndex(f)
     moves: list[Move] = []
     for path, node in index.choices:
@@ -337,7 +339,7 @@ def enumerate_moves(f: Formula, config: ProverConfig,
         pool = term_pool(f)
         for path in exs:
             moves.extend(ChooseTerm(path, t) for t in pool)
-    if config.logic is Logic.CL4 and index.letters:
+    if index.letters:
         used = letter_names(f)
         for letter, pp, np in index.letters:
             if pp and np:
@@ -354,27 +356,24 @@ def canonical_matches(f: Formula, letters: list) -> list[MatchPair]:
     (all of them, or the forced ones), in the order they are played.  Each
     next match is on the letter whose first remaining surface occurrence
     comes first among the letters that still have both polarities, and
-    pairs its first remaining positive and negative occurrences.  Matching
-    leaves every path in place and only adds fresh elementary names, so the
-    surface index and the letter names of f serve every step, and each move
-    applies to the formula the one before it leaves."""
-    # per letter with both polarities: its first remaining occurrence, its
-    # position in letters, and how many of its pairs are matched
-    queue = [(min(pp[0], np[0]), i, 0)
-             for i, (_, pp, np) in enumerate(letters) if pp and np]
-    if not queue:
+    pairs its first remaining positive and negative occurrences.  So one
+    sort of the keys (first occurrence, letter's place in letters, pair
+    index) gives that order: paths come in pre-order, so each letter's keys
+    rise with its pair index.  Matching leaves every path in place and only
+    adds fresh elementary names, so the surface index and the letter names
+    of f serve every step, and each move applies to the formula the one
+    before it leaves."""
+    keys = sorted((min(pp[k], np[k]), i, k) for i, (_, pp, np) in enumerate(letters)
+                  for k in range(min(len(pp), len(np))))
+    if not keys:
         return []
-    heapq.heapify(queue)
     used = letter_names(f)
     moves: list[MatchPair] = []
-    while queue:
-        _, i, k = heapq.heappop(queue)
+    for _, i, k in keys:
         letter, pp, np = letters[i]
         fresh = _fresh_letter(letter, used)
         used.add(fresh.name)
         moves.append(MatchPair(pp[k], np[k], fresh))
-        if k + 1 < len(pp) and k + 1 < len(np):
-            heapq.heappush(queue, (min(pp[k + 1], np[k + 1]), i, k + 1))
     return moves
 
 
@@ -392,8 +391,7 @@ def _forced(f: Formula, index: _SurfaceIndex) -> list:
 
 
 class _Search:
-    def __init__(self, config: ProverConfig):
-        self.config = config
+    def __init__(self):
         self.memo: dict[str, Optional[ProofNode]] = {}
         self.stats = SearchStats()
 
@@ -450,7 +448,7 @@ class _Search:
         self.stats.stable_checks += 1
         if is_stable(f):
             yield WAIT, wait_premises(f, index)
-        moves = enumerate_moves(f, self.config, index)
+        moves = enumerate_moves(f, index)
         s = facts(f)
         first = None if s.consts or s.free else Constant(0)
         kept = [m for m in moves
@@ -499,7 +497,7 @@ def prove_with_stats(f: Formula, config: Optional[ProverConfig] = None
     validate_formula(f)
     if config.logic is Logic.CL3 and has_general(f):
         raise GoalError("cl3 goals must not contain general letters")
-    search = _Search(config)
+    search = _Search()
     return search.solve(f, 1), search.stats
 
 

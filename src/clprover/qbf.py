@@ -464,6 +464,8 @@ def _corpus_vars(n: int) -> tuple[str, ...]:
 def random_corpus(count: int, seed: int, prefix_lengths: Sequence[int] = (1, 3, 5),
                   max_clauses: int = 4, min_clauses: int = 0) -> list[Qbf]:
     """Seeded random sentences in the required shape."""
+    if not prefix_lengths:
+        raise QbfError("no prefix length to draw from")
     if any(n % 2 == 0 or n < 1 for n in prefix_lengths):
         raise QbfError("prefix lengths must be odd and positive")
     if not 0 <= min_clauses <= max_clauses:

@@ -20,7 +20,7 @@ from clprover.bridge import BridgeError, _extract, _replay, strategy_to_proof
 from clprover.elementary import is_stable
 from clprover.formula import (
     Atom, Bot, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, Formula, FormulaError,
-    LetterId, ParAnd, ParOr, PathError, SubstitutionError, Top, Variable, BOT,
+    LetterId, ParAnd, ParOr, SubstitutionError, Top, Variable, BOT,
     ELEMENTARY, GENERAL, TOP, children, letter_names, parse_formula,
     render_formula, subformulas, validate_formula,
 )
@@ -128,13 +128,18 @@ def with_children(f: Formula, new: tuple[Formula, ...]) -> Formula:
     return type(f)(tuple(new))
 
 
+class RefPathError(FormulaError):
+    """A path that ref_replace_at cannot follow."""
+
+
 def ref_replace_at(f: Formula, path, sub: Formula, _depth: int = 0) -> Formula:
+    """f with sub at path, every node on the path built anew."""
     if _depth == len(path):
         return sub
     kids = children(f)
     i = path[_depth]
     if not 0 <= i < len(kids):
-        raise PathError(f"path {list(path)} does not address a subformula")
+        raise RefPathError(f"path {list(path)} does not address a subformula")
     return with_children(f, kids[:i] + (ref_replace_at(kids[i], path, sub, _depth + 1),)
                          + kids[i + 1:])
 
@@ -251,12 +256,15 @@ def naive_provable(f: Formula, logic: Logic = Logic.CL4) -> bool:
 
 
 def ref_moves(f: Formula, logic: Logic, fresh: int) -> list:
-    """The unpruned moves of enumerate_moves with a pool of `fresh` fresh
-    constants, 1 or 2.  With 2, each choose-term move on the pool's fresh
+    """The unpruned moves of enumerate_moves in the logic, with a pool of
+    `fresh` fresh constants, 1 or 2.  cl3 has no match rule, so its moves
+    leave matches out.  With 2, each choose-term move on the pool's fresh
     constant is followed by one on the next natural that does not occur,
     where a pool of two fresh constants lists it."""
     assert fresh in (1, 2)
-    moves = enumerate_moves(f, ProverConfig(logic=logic))
+    moves = enumerate_moves(f)
+    if logic is Logic.CL3:
+        moves = [m for m in moves if not isinstance(m, MatchPair)]
     if fresh == 1:
         return moves
     pool = term_pool(f)

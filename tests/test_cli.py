@@ -180,7 +180,10 @@ def test_check_rejects_a_rule_that_is_not_a_string(capsys, tmp_path, rule):
     ("prove", "--formula", "IMAGE3", "--logic", "cl3", "--json"),
     ("strategy", "to-proof", "--qbf", TRIPLE_Q, "--strategy", "TREE", "--json"),
     ("check", "--proof", "PROOF", "--json"),
-], ids=["prove-cl4", "prove-cl3", "strategy-to-proof", "check"])
+    ("qbf", "eval", "--qbf", TRIPLE_Q, "--json"),
+    ("qbf", "normalize", "--qbf", TRIPLE_Q, "--json"),
+], ids=["prove-cl4", "prove-cl3", "strategy-to-proof", "check", "qbf-eval",
+        "qbf-normalize"])
 def test_json_output_is_the_standard_library_text(capsys, tmp_path, argv):
     q = parse_qbf(TRIPLE_Q)
     tree, proof = tmp_path / "tree.json", tmp_path / "proof.json"
@@ -357,6 +360,13 @@ def test_bench_small_corpus(capsys):
     assert code == 0
     assert "verdicts all agree" in out
     assert "within the measure bound" in out
+
+
+def test_bench_rejects_an_empty_prefix_length_list(capsys):
+    # drawing a prefix length from the empty list once raised IndexError
+    code, out, err = run(capsys, "bench", "--random", "2", "--prefix-lens", ",")
+    assert code == 2 and out == ""
+    assert err == "error: no prefix length to draw from\n"
 
 
 def test_bench_json(capsys):

@@ -17,21 +17,21 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     random_formula, ref_bound_variables, ref_constants, ref_first_match_move,
     ref_forced_batch, ref_free_variables, ref_has_choice, ref_has_general,
-    ref_letter_table, ref_match_all, ref_match_moves, ref_measure, ref_surface,
-    ref_surface_general_atoms, ref_wait_premises,
+    ref_letter_table, ref_match_all, ref_match_moves, ref_measure,
+    ref_replace_at, ref_surface, ref_surface_general_atoms, ref_wait_premises,
 )
 from clprover.elementary import is_stable, is_stable_matched
 from clprover.formula import (
-    VALID_MARK, Atom, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, ELEMENTARY,
-    Facts, FormulaError, GENERAL, LetterId, ParAnd, ParOr, SubstitutionError,
+    Atom, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, ELEMENTARY, Facts,
+    FormulaError, GENERAL, LetterId, ParAnd, ParOr, SubstitutionError,
     Variable, bound_variables, constants, facts, free_variables, has_general,
-    known_facts, letter_names, letter_table, parse_formula, render_formula,
-    replace_at, subformulas, substitute_var, validate_formula,
+    known_facts, known_valid, letter_names, letter_table, parse_formula,
+    render_formula, subformulas, substitute_var, validate_formula,
 )
 from clprover.prover import (
-    ChooseTerm, MatchPair, MoveError, ProverConfig, _Search, _SurfaceIndex,
-    _forced, _surface_spine, apply_move, canonical_matches,
-    enumerate_moves, measure, wait_premises,
+    ChooseTerm, MatchPair, MoveError, _Search, _SurfaceIndex, _forced,
+    _surface_spine, apply_move, canonical_matches, enumerate_moves, measure,
+    wait_premises,
 )
 
 
@@ -51,7 +51,7 @@ def assert_surface_matches(f):
         assert neg == [p for p, a in gens if a.letter.name == L.name and a.negated]
     try:
         want = ref_wait_premises(f)
-    except SubstitutionError as e:  # replace_at nested a binder in its namesake
+    except SubstitutionError as e:  # ref_replace_at nested a binder in its namesake
         with pytest.raises(SubstitutionError, match=re.escape(str(e))):
             wait_premises(f, index)
         return
@@ -77,7 +77,7 @@ def assert_queries_match(f):
     assert letter_table(f) == table
     assert list(letter_table(f)) == list(table)  # first-occurrence order
     assert letter_names(f) == {name for _, name in table}
-    assert [m for m in enumerate_moves(f, ProverConfig())
+    assert [m for m in enumerate_moves(f)
             if isinstance(m, MatchPair)] == ref_match_moves(f)
     assert_endgame_matches(f)
     assert canonical_matches(f, _forced(f, _SurfaceIndex(f))) == ref_forced_batch(f)
@@ -115,7 +115,7 @@ def test_queries_match_after_replace_at(seed):
     g = random_formula(rng, budget=4)
     facts(f), facts(g)  # derived states share these summarized subtrees
     paths = [p for p, _ in subformulas(f)]
-    h = replace_at(f, rng.choice(paths), g)  # may clash: arities, binders
+    h = ref_replace_at(f, rng.choice(paths), g)  # may clash: arities, binders
     assert_queries_match(h)
 
 
@@ -140,7 +140,7 @@ def test_queries_match_after_apply_move(seed):
     f = random_formula(rng, budget=rng.randint(4, 10))
     for _ in range(4):
         assert_queries_match(f)
-        moves = enumerate_moves(f, ProverConfig())
+        moves = enumerate_moves(f)
         if not moves:
             return
         f = apply_move(f, rng.choice(moves))
@@ -185,7 +185,7 @@ def test_validate_raises_the_same_message_again(broken):
 def test_validate_records_a_success():
     f = random_formula(random.Random(7), budget=8)
     validate_formula(f)
-    assert facts(f).valid
+    assert known_valid(f)
     validate_formula(f)
 
 
@@ -218,7 +218,7 @@ def random_choiceless(rng: random.Random, budget: int):
 def test_choiceless_verdict_matches_stability_after_matching(seed):
     rng = random.Random(seed)
     f = random_choiceless(rng, rng.randint(2, 9))
-    verdict = _Search(ProverConfig())._choiceless_verdict(f, _SurfaceIndex(f))
+    verdict = _Search()._choiceless_verdict(f, _SurfaceIndex(f))
     occurrences = [(a.letter.name, a.negated) for _, a in subformulas(f)
                    if isinstance(a, Atom) and a.letter.sort == GENERAL]
     assert (verdict is not None) == (len(occurrences) == len(set(occurrences)))
@@ -271,17 +271,16 @@ def _general_count(f, name):
 
 
 def assert_derived_facts(g, parent_valid):
-    """The summary a rule left on g, before anything walked g: derived
-    fields equal a fresh walk, and valid is claimed only for a formula that
-    validates.  Returns whether g received derived fields."""
-    s = known_facts(g)
+    """The validity flag and the summary a rule left on g, before anything
+    walked g: validity is claimed only for a formula that validates, and
+    derived fields equal a fresh walk.  Returns whether g received a
+    summary."""
     if parent_valid:
-        assert s is not None  # the rule kept the knowledge that g is valid
-    if s is None:
-        return False
-    if s.valid:
+        assert known_valid(g)  # the rule kept the knowledge that g is valid
+    if known_valid(g):
         validate_formula(parse_formula(render_formula(g)))
-    if s is VALID_MARK:
+    s = known_facts(g)
+    if s is None:
         return False
     walked = Facts(g)
     assert s.letters == walked.letters  # first-occurrence order
@@ -302,8 +301,8 @@ def test_derived_facts_equal_a_fresh_walk():
         rng = random.Random(seed)
         f = random_formula(rng, budget=rng.randint(5, 12), closed=seed % 3 == 0)
         for _ in range(8):
-            valid = known_facts(f) is not None and known_facts(f).valid
-            steps = [(m, True) for m in enumerate_moves(f, ProverConfig())]
+            valid = known_valid(f)
+            steps = [(m, True) for m in enumerate_moves(f)]
             steps += [(ChooseTerm(p, t), False) for p, n in _SurfaceIndex(f).choices
                       if isinstance(n, ChoEx) for t in ODD_TERMS]
             prems = wait_premises(f)

@@ -8,9 +8,9 @@ from conftest import (
 )
 from clprover.formula import (
     Atom, BOT, ChoAll, ChoAnd, ChoEx, ChoOr, Constant, ELEMENTARY, FormulaError,
-    GENERAL, LetterId, ParAnd, ParOr, ParseError, PathError, SubstitutionError,
+    GENERAL, LetterId, ParAnd, ParOr, ParseError, SubstitutionError,
     TOP, Variable, children, facts, free_variables, bound_variables,
-    has_general, letter_table, parse_formula, render_formula, replace_at,
+    has_general, letter_table, parse_formula, render_formula,
     subformulas, substitute_var, validate_formula,
 )
 from clprover.prover import _SurfaceIndex
@@ -272,12 +272,6 @@ def test_path_resolution_and_replacement():
     assert at[()] == f
     assert at[(0, 1)] == parse_formula("q")
     assert at[(1, 0)] == parse_formula("r(x)")
-    g = replace_at(f, (0,), TOP)
-    assert g == parse_formula("T /\\ cex x: r(x)")
-    with pytest.raises(PathError):
-        replace_at(f, (2,), TOP)
-    with pytest.raises(PathError):
-        replace_at(f, (0, 0, 0), TOP)
 
 
 def test_subformulas_preorder():

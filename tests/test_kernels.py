@@ -1,10 +1,10 @@
 """The path kernels against plain recursive references.
 
-substitute_var, replace_at, the match of apply_move and the render memo of
-the proof JSON walks each rebuild or render only what a rule changes.  Here
-each is held to a reference in tests/conftest.py that rebuilds or renders
-the whole formula, with the same errors and, wherever nothing changed, the
-very subtree given.
+substitute_var, the premises of wait_premises, the match of apply_move and
+the render memo of the proof JSON walks each rebuild or render only what a
+rule changes.  Here each is held to a reference in tests/conftest.py that
+rebuilds or renders the whole formula, with the same errors and, wherever
+nothing changed, the very subtree given.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from clprover.formula import (
-    Atom, Constant, FormulaError, Variable, children, render_formula,
-    replace_at, subformulas, substitute_var,
+    Atom, ChoAll, ChoAnd, Constant, FormulaError, Variable, children,
+    render_formula, substitute_var,
 )
-from clprover.prover import apply_move
+from clprover.prover import apply_move, fresh_wait_variable, wait_premises
 
 from conftest import (
     golden_proofs, random_formula, ref_free_variables, ref_match_moves,
-    ref_replace_at, ref_substitute, ref_surface,
+    ref_replace_at, ref_substitute, ref_surface, ref_wait_premises,
 )
 
 
@@ -66,28 +66,33 @@ def test_substitute_var_matches_the_reference(seed):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**9))
-def test_replace_at_matches_the_reference(seed):
+def test_wait_premises_match_the_reference(seed):
     rng = random.Random(seed)
-    f = random_formula(rng, budget=rng.randint(1, 12))
-    sub = random_formula(rng, budget=3)
-    path = rng.choice([p for p, _ in subformulas(f)])
-    r = rng.random()
-    if r < 0.2:  # below a leaf, or past the last child
-        path = path + (rng.randint(0, 2),)
-    elif r < 0.3 and path:
-        path = path[:-1] + (path[-1] + rng.randint(1, 3),)
-    got = _outcome(replace_at, f, path, sub)
-    assert got == _outcome(ref_replace_at, f, path, sub)
-    if isinstance(got, tuple):
-        return
-    # only the nodes on the path are new
-    a, b = f, got
-    for i in path:
-        ka, kb = children(a), children(b)
-        assert b is not a and len(ka) == len(kb)
-        assert all(x is y for j, (x, y) in enumerate(zip(ka, kb)) if j != i)
-        a, b = ka[i], kb[i]
-    assert b is sub
+    f = random_formula(rng, budget=rng.randint(1, 14), closed=rng.random() < 0.3)
+    # the path each premise rebuilds, and what it puts there: the first of
+    # equal cand operands, or the call body on the wait variable
+    spots = []
+    for path, node in ref_surface(f, (ChoAnd, ChoAll)):
+        if isinstance(node, ChoAnd):
+            firsts = {}
+            for op in node.operands:
+                firsts.setdefault(render_formula(op), op)
+            spots.extend((path, op) for op in firsts.values())
+        else:
+            w = Variable(fresh_wait_variable(f))
+            spots.append((path, ref_substitute(node.body, node.var, w)))
+    got = wait_premises(f)
+    assert got == ref_wait_premises(f)
+    assert len(got) == len(spots)
+    for g, (path, sub) in zip(got, spots):
+        # only the nodes on the path are new
+        a, b = f, g
+        for i in path:
+            ka, kb = children(a), children(b)
+            assert b is not a and len(ka) == len(kb)
+            assert all(x is y for j, (x, y) in enumerate(zip(ka, kb)) if j != i)
+            a, b = ka[i], kb[i]
+        assert b is sub if isinstance(a, ChoAnd) else b == sub
 
 
 @settings(max_examples=200, deadline=None)

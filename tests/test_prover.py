@@ -67,12 +67,12 @@ def test_wait_premises_deduplicates():
 # move enumeration
 
 def test_enumerate_choice_disjuncts():
-    moves = enumerate_moves(parse_formula("p cor q"), ProverConfig())
+    moves = enumerate_moves(parse_formula("p cor q"))
     assert moves == [ChooseDisjunct((), 0), ChooseDisjunct((), 1)]
 
 
 def test_enumerate_single_match_pair():
-    moves = enumerate_moves(parse_formula("P(0) \\/ ~P(0)"), ProverConfig())
+    moves = enumerate_moves(parse_formula("P(0) \\/ ~P(0)"))
     assert moves == [MatchPair((0,), (1,), LetterId(ELEMENTARY, "p0", 1))]
 
 
@@ -80,10 +80,10 @@ def test_enumerate_terms_from_the_pool():
     # one fresh constant, the least natural that does not occur, and it is
     # listed even where a term occurs and the search skips it
     f = parse_formula("cex x: p(x)")
-    assert enumerate_moves(f, ProverConfig()) == [ChooseTerm((), Constant(0))]
+    assert enumerate_moves(f) == [ChooseTerm((), Constant(0))]
     g = parse_formula("(cex x: p(x)) \\/ ~p(0) \\/ ~p(2)")
-    assert enumerate_moves(g, CL3) == [ChooseTerm((0,), Constant(c))
-                                       for c in (0, 2, 1)]
+    assert enumerate_moves(g) == [ChooseTerm((0,), Constant(c))
+                                  for c in (0, 2, 1)]
 
 
 def test_term_pool_order_constants_then_variables_then_fresh():
@@ -111,10 +111,7 @@ def test_a_closed_choice_ex_needs_the_fresh_constant(text, logic):
 
 
 def test_enumerate_skips_match_without_both_polarities():
-    moves = enumerate_moves(parse_formula("P(0) \\/ P(1)"), ProverConfig())
-    assert moves == []
-    # cl3 never matches even when a pair exists
-    moves = enumerate_moves(parse_formula("P(0) \\/ ~P(0)"), CL3)
+    moves = enumerate_moves(parse_formula("P(0) \\/ P(1)"))
     assert moves == []
 
 
